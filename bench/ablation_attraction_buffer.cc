@@ -22,22 +22,16 @@ Cycles
 stallFor(int ab_entries, Heuristic h, bool hints,
          const std::string &only = "")
 {
-    MachineConfig cfg = ab_entries == 0
-        ? MachineConfig::paperInterleaved()
-        : MachineConfig::paperInterleavedAb();
-    if (ab_entries > 0)
-        cfg.abEntries = ab_entries;
-    ToolchainOptions opts = makeOpts(h);
-    opts.abHints = hints;
-    opts.abHintBudget = std::max(1, ab_entries / 2);
-    Toolchain chain(cfg, opts);
-    Cycles stall = 0;
-    for (const BenchmarkSpec &bench : mediabenchSuite()) {
-        if (!only.empty() && bench.name != only)
-            continue;
-        stall += chain.runBenchmark(bench).total.stallCycles;
-    }
-    return stall;
+    api::SweepRequest req = arm(
+        ab_entries == 0
+            ? std::string("interleaved")
+            : "interleaved-ab:ab" + std::to_string(ab_entries),
+        schedulerKey(h));
+    req.options.abHints = hints;
+    req.options.abHintBudget = std::max(1, ab_entries / 2);
+    if (!only.empty())
+        req.workloads = {only};
+    return suiteStall(suiteRuns(req));
 }
 
 } // namespace

@@ -17,20 +17,13 @@ using namespace vliw::bench;
 int
 main()
 {
-    const MachineConfig cfg = MachineConfig::paperInterleavedAb();
-
     std::printf("Ablation: unrolling policy (IPBC, ABs on)\n");
     std::printf("=========================================\n\n");
 
     TextTable tab({"policy", "AMEAN local hits", "total cycles",
                    "static ops", "avg II", "avg factor"});
 
-    for (UnrollPolicy policy :
-         {UnrollPolicy::None, UnrollPolicy::TimesN, UnrollPolicy::Ouf,
-          UnrollPolicy::Selective}) {
-        ToolchainOptions opts = makeOpts(Heuristic::Ipbc, policy);
-        Toolchain chain(cfg, opts);
-
+    for (const char *unroll : {"none", "xN", "ouf", "selective"}) {
         std::vector<double> local_hits;
         Cycles cycles = 0;
         std::int64_t static_ops = 0;
@@ -38,8 +31,8 @@ main()
         double factor_sum = 0.0;
         int loops = 0;
 
-        for (const BenchmarkSpec &bench : mediabenchSuite()) {
-            const BenchmarkRun run = chain.runBenchmark(bench);
+        for (const BenchmarkRun &run :
+             suiteRuns(arm("interleaved-ab", "ipbc", unroll))) {
             local_hits.push_back(run.total.localHitRatio());
             cycles += run.total.totalCycles;
             for (const LoopRun &lr : run.loops) {
@@ -47,14 +40,17 @@ main()
                 factor_sum += lr.unrollFactor;
                 ++loops;
             }
-            for (const LoopSpec &loop : bench.loops) {
-                const CompiledLoop compiled =
-                    chain.compileLoop(bench, loop);
-                static_ops += compiled.ddg.numNodes();
-            }
+            // Code growth: the sweep's own compiles, from the cache.
+            const auto compiled = session().compile(
+                {.workload = run.name, .arch = "interleaved-ab",
+                 .scheduler = "ipbc", .unroll = unroll});
+            for (const CompiledLoopVersions &loop :
+                 compiled.value()->loops)
+                static_ops += loop.primary.ddg.numNodes();
         }
 
-        tab.newRow().cell(unrollPolicyName(policy));
+        tab.newRow().cell(unrollPolicyName(
+            session().registries().unrolls.resolve(unroll).value()));
         tab.percentCell(amean(local_hits));
         tab.cell(std::int64_t(cycles));
         tab.cell(static_ops);

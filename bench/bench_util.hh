@@ -1,77 +1,101 @@
 /**
  * @file
- * Shared plumbing for the paper-reproduction bench binaries: config
- * construction, suite execution and common derived metrics. Every
- * binary in bench/ regenerates one table or figure of the paper and
- * prints the same rows/series the paper reports.
+ * Shared plumbing for the paper-reproduction bench binaries: the
+ * shared api::Session, experiment arms as sweep requests, and common
+ * derived metrics. Every binary in bench/ regenerates one table or
+ * figure of the paper and prints the same rows/series the paper
+ * reports.
  */
 
 #ifndef WIVLIW_BENCH_BENCH_UTIL_HH
 #define WIVLIW_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
+#include <cctype>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "core/toolchain.hh"
-#include "engine/engine.hh"
+#include "api/api.hh"
 #include "support/stats.hh"
 #include "support/table.hh"
 
 namespace vliw::bench {
 
-/** Toolchain options for one experiment arm. */
-inline ToolchainOptions
-makeOpts(Heuristic h, UnrollPolicy unroll = UnrollPolicy::Selective,
-         bool aligned = true, bool chains = true)
-{
-    ToolchainOptions opts;
-    opts.heuristic = h;
-    opts.unroll = unroll;
-    opts.varAlignment = aligned;
-    opts.memChains = chains;
-    return opts;
-}
-
 /**
- * The shared batch engine behind every harness in bench/: one
+ * The process-wide session behind every harness in bench/: one
  * worker pool sized to the machine and one compile cache that
  * persists across experiment arms, so e.g. the interleaved and
  * interleaved-ab arms of one figure compile the suite once.
- * Results are bit-identical to the serial Toolchain loop.
+ * Results are bit-identical for every worker count.
  */
-inline engine::ExperimentEngine &
-sharedEngine()
+inline api::Session &
+session()
 {
-    static engine::ExperimentEngine eng{engine::EngineOptions{
-        /*jobs=*/0, /*compileCache=*/true}};
-    return eng;
+    static api::Session s{api::SessionOptions{
+        int(std::max(1u, std::thread::hardware_concurrency()))}};
+    return s;
 }
 
-/** Specs for the whole suite under one configuration arm. */
-inline std::vector<engine::ExperimentSpec>
-suiteSpecs(const std::string &archName, const MachineConfig &cfg,
-           const ToolchainOptions &opts)
+/** The scheduler registry key of @p h ("base", "ibc", "ipbc"). */
+inline std::string
+schedulerKey(Heuristic h)
 {
-    std::vector<engine::ExperimentSpec> specs;
-    for (const std::string &bench : mediabenchNames()) {
-        engine::ExperimentSpec spec;
-        spec.bench = bench;
-        spec.arch = {archName, cfg};
-        spec.opts = opts;
-        specs.push_back(std::move(spec));
-    }
-    return specs;
+    std::string key = heuristicName(h);
+    for (char &c : key)
+        c = char(std::tolower(static_cast<unsigned char>(c)));
+    return key;
 }
 
-/** Run the whole Mediabench-like suite under one configuration. */
+/**
+ * One experiment arm over the whole suite. @p arch is a registered
+ * architecture or a parametric key ("interleaved-ab:ab8"),
+ * @p scheduler and @p unroll are registry names. Callers set the
+ * remaining request fields (hints, versioning, workloads) on the
+ * returned request.
+ */
+inline api::SweepRequest
+arm(std::string arch, std::string scheduler,
+    std::string unroll = "selective", bool aligned = true,
+    bool chains = true)
+{
+    api::SweepRequest req;
+    req.archs = {std::move(arch)};
+    req.schedulers = {std::move(scheduler)};
+    req.unrolls = {std::move(unroll)};
+    req.alignment = {aligned};
+    req.chains = {chains};
+    return req;
+}
+
+/**
+ * The primary data set's run of every cell of a finished sweep, in
+ * grid order. A harness has no use for a partial figure, so any
+ * failure ends the process with exit code 1.
+ */
 inline std::vector<BenchmarkRun>
-runSuite(const MachineConfig &cfg, const ToolchainOptions &opts)
+runsOf(api::Result<api::SweepResult> res)
 {
+    const api::Status failure =
+        res.ok() ? res.value().firstError() : res.status();
+    if (!failure.ok()) {
+        std::fprintf(stderr, "sweep failed: %s\n",
+                     failure.toString().c_str());
+        std::exit(1);
+    }
     std::vector<BenchmarkRun> runs;
-    for (engine::ExperimentResult &r :
-         sharedEngine().run(suiteSpecs(cfg.describe(), cfg, opts)))
+    for (engine::ExperimentResult &r : res.value().experiments)
         runs.push_back(std::move(r.datasetRuns.front()));
     return runs;
+}
+
+/** Run @p req on the shared session. */
+inline std::vector<BenchmarkRun>
+suiteRuns(const api::SweepRequest &req)
+{
+    return runsOf(session().sweep(req));
 }
 
 /** Fraction of accesses in @p cls. */

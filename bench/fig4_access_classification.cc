@@ -26,7 +26,7 @@ namespace {
 struct Variant
 {
     const char *label;
-    ToolchainOptions opts;
+    api::SweepRequest arm;
 };
 
 } // namespace
@@ -34,16 +34,13 @@ struct Variant
 int
 main()
 {
-    const MachineConfig cfg = MachineConfig::paperInterleaved();
     const std::vector<Variant> variants = {
         {"no-unroll+align",
-         makeOpts(Heuristic::Ipbc, UnrollPolicy::None, true, true)},
-        {"OUF,no-align",
-         makeOpts(Heuristic::Ipbc, UnrollPolicy::Ouf, false, true)},
-        {"OUF+align",
-         makeOpts(Heuristic::Ipbc, UnrollPolicy::Ouf, true, true)},
+         arm("interleaved", "ipbc", "none", true, true)},
+        {"OUF,no-align", arm("interleaved", "ipbc", "ouf", false, true)},
+        {"OUF+align", arm("interleaved", "ipbc", "ouf", true, true)},
         {"OUF+align,no-chains",
-         makeOpts(Heuristic::Ipbc, UnrollPolicy::Ouf, true, false)},
+         arm("interleaved", "ipbc", "ouf", true, false)},
     };
 
     std::printf("Figure 4: memory access classification (IPBC)\n");
@@ -52,7 +49,7 @@ main()
     std::vector<double> amean_lh(variants.size(), 0.0);
 
     for (std::size_t vi = 0; vi < variants.size(); ++vi) {
-        const auto runs = runSuite(cfg, variants[vi].opts);
+        const auto runs = suiteRuns(variants[vi].arm);
         std::printf("variant (%zu): %s\n", vi + 1,
                     variants[vi].label);
         TextTable tab({"benchmark", "local_hit", "remote_hit",

@@ -25,37 +25,21 @@ using namespace vliw::bench;
 int
 main()
 {
-    // All five arms go to the experiment engine as one batch so the
+    // Submit all five arms before waiting on any, so the session's
     // worker pool spans the whole figure, not one arm at a time.
-    struct Arm { std::string arch; Heuristic h; };
-    const std::vector<Arm> arms = {
-        {"unified1", Heuristic::Base},
-        {"interleaved-ab", Heuristic::Ipbc},
-        {"interleaved-ab", Heuristic::Ibc},
-        {"multivliw", Heuristic::Ibc},
-        {"unified5", Heuristic::Base},
+    auto job = [](const char *arch, const char *scheduler) {
+        return session().submit(arm(arch, scheduler));
     };
-    std::vector<engine::ExperimentSpec> specs;
-    for (const Arm &arm : arms) {
-        for (engine::ExperimentSpec &spec : suiteSpecs(
-                 arm.arch, engine::makeArch(arm.arch).config,
-                 makeOpts(arm.h)))
-            specs.push_back(std::move(spec));
-    }
-    const auto results = sharedEngine().run(specs);
-
-    const std::size_t n = mediabenchNames().size();
-    auto arm_slice = [&](std::size_t arm) {
-        std::vector<BenchmarkRun> runs;
-        for (std::size_t i = 0; i < n; ++i)
-            runs.push_back(results[arm * n + i].run());
-        return runs;
-    };
-    const auto base = arm_slice(0);
-    const auto ipbc = arm_slice(1);
-    const auto ibc = arm_slice(2);
-    const auto mv = arm_slice(3);
-    const auto u5 = arm_slice(4);
+    auto base_job = job("unified1", "base");
+    auto ipbc_job = job("interleaved-ab", "ipbc");
+    auto ibc_job = job("interleaved-ab", "ibc");
+    auto mv_job = job("multivliw", "ibc");
+    auto u5_job = job("unified5", "base");
+    const auto base = runsOf(base_job.take());
+    const auto ipbc = runsOf(ipbc_job.take());
+    const auto ibc = runsOf(ibc_job.take());
+    const auto mv = runsOf(mv_job.take());
+    const auto u5 = runsOf(u5_job.take());
 
     std::printf("Figure 8: cycle counts normalised to unified "
                 "(L=1); 'c+s' = compute + stall\n");

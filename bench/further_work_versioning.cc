@@ -9,6 +9,7 @@
  * remote accesses, and better Attraction Buffer usage.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 
@@ -20,19 +21,17 @@ using namespace vliw::bench;
 int
 main()
 {
-    const MachineConfig cfg = MachineConfig::paperInterleavedAb();
-
     std::printf("Further work (Section 5.4): loop versioning to "
                 "break chains\n");
     std::printf("====================================================="
                 "======\n\n");
 
-    ToolchainOptions plain = makeOpts(Heuristic::Ipbc);
-    ToolchainOptions versioned = plain;
-    versioned.loopVersioning = true;
-
-    const Toolchain base(cfg, plain);
-    const Toolchain with_versioning(cfg, versioned);
+    const api::SweepRequest plain = arm("interleaved-ab", "ipbc");
+    api::SweepRequest versioned = plain;
+    versioned.versioning = {true};
+    const std::vector<BenchmarkRun> base = suiteRuns(plain);
+    const std::vector<BenchmarkRun> with_versioning =
+        suiteRuns(versioned);
 
     TextTable tab({"benchmark", "cycles", "cycles (versioned)",
                    "gain", "local hits", "local hits (v)",
@@ -40,13 +39,13 @@ main()
     Cycles total_plain = 0;
     Cycles total_versioned = 0;
 
-    for (const BenchmarkSpec &bench : mediabenchSuite()) {
-        const BenchmarkRun a = base.runBenchmark(bench);
-        const BenchmarkRun b = with_versioning.runBenchmark(bench);
+    for (std::size_t i = 0; i < base.size(); ++i) {
+        const BenchmarkRun &a = base[i];
+        const BenchmarkRun &b = with_versioning[i];
         int unchained = 0;
         for (const LoopRun &lr : b.loops)
             unchained += lr.unchainedInvocations;
-        tab.newRow().cell(bench.name);
+        tab.newRow().cell(a.name);
         tab.cell(std::int64_t(a.total.totalCycles));
         tab.cell(std::int64_t(b.total.totalCycles));
         tab.percentCell(
@@ -74,8 +73,9 @@ main()
     std::printf("\nepicdec per-loop view (versioned run)\n");
     TextTable ep({"loop", "II", "unchained invocations",
                   "stall"});
-    const BenchmarkRun run =
-        with_versioning.runBenchmark(makeBenchmark("epicdec"));
+    const BenchmarkRun &run = *std::find_if(
+        with_versioning.begin(), with_versioning.end(),
+        [](const BenchmarkRun &r) { return r.name == "epicdec"; });
     for (const LoopRun &lr : run.loops) {
         ep.newRow().cell(lr.name);
         ep.cell(std::int64_t(lr.ii));

@@ -4,7 +4,7 @@
  *
  * google-benchmark mode (default): microbenchmarks of circuit
  * enumeration, SMS ordering, latency assignment, the clustered
- * modulo scheduler, and the experiment-engine sweep. These bound
+ * modulo scheduler, and the api::Session sweep. These bound
  * the compile-time cost of the proposed techniques.
  *
  * A/B mode (`perf_scheduler --ab`): the fixed workload behind
@@ -40,7 +40,7 @@
 #include "core/toolchain.hh"
 #include "ddg/mii.hh"
 #include "ddg/unroll.hh"
-#include "engine/engine.hh"
+#include "api/api.hh"
 #include "sched/latency_assign.hh"
 #include "sched/scheduler.hh"
 #include "sched/sms_order.hh"
@@ -205,35 +205,34 @@ BM_SimulateBenchmark(benchmark::State &state)
     const Toolchain chain(cfg, opts);
     const BenchmarkSpec bench = makeBenchmark("rasta");
     for (auto _ : state)
-        benchmark::DoNotOptimize(chain.runBenchmark(bench));
+        benchmark::DoNotOptimize(
+            chain.simulateBenchmark(bench, chain.compileBenchmark(bench)));
 }
 BENCHMARK(BM_SimulateBenchmark);
 
-// ---- experiment engine (the batch path everything above feeds) ----
+// ---- sweeps (the api::Session path everything above feeds) ----
 
-engine::ExperimentGrid
-sweepGrid()
+api::SweepRequest
+sweepRequest()
 {
-    engine::ExperimentGrid grid;
-    grid.benches = {"gsmdec", "rasta", "epicdec"};
-    grid.archs = {};   // all five architectures
-    return grid;
+    api::SweepRequest req;
+    req.workloads = {"gsmdec", "rasta", "epicdec"};
+    req.archs = {};   // all five architectures
+    return req;
 }
 
 /** Whole grid, compiling every cell from scratch. */
 void
-BM_EngineSweepCold(benchmark::State &state)
+BM_SessionSweepCold(benchmark::State &state)
 {
-    const engine::ExperimentGrid grid = sweepGrid();
-    engine::EngineOptions opts;
-    opts.jobs = int(state.range(0));
-    opts.compileCache = false;
+    const api::SweepRequest req = sweepRequest();
     for (auto _ : state) {
-        engine::ExperimentEngine eng(opts);
-        benchmark::DoNotOptimize(eng.run(grid));
+        api::Session session(
+            api::SessionOptions{int(state.range(0)), false});
+        benchmark::DoNotOptimize(session.sweep(req));
     }
 }
-BENCHMARK(BM_EngineSweepCold)->Arg(1)->Arg(4);
+BENCHMARK(BM_SessionSweepCold)->Arg(1)->Arg(4);
 
 /**
  * Whole grid against a persistent compile cache: after the first
@@ -241,16 +240,14 @@ BENCHMARK(BM_EngineSweepCold)->Arg(1)->Arg(4);
  * simulate-only steady state a long experiment campaign sees.
  */
 void
-BM_EngineSweepCached(benchmark::State &state)
+BM_SessionSweepCached(benchmark::State &state)
 {
-    const engine::ExperimentGrid grid = sweepGrid();
-    engine::EngineOptions opts;
-    opts.jobs = int(state.range(0));
-    engine::ExperimentEngine eng(opts);
+    const api::SweepRequest req = sweepRequest();
+    api::Session session(api::SessionOptions{int(state.range(0)), true});
     for (auto _ : state)
-        benchmark::DoNotOptimize(eng.run(grid));
+        benchmark::DoNotOptimize(session.sweep(req));
 }
-BENCHMARK(BM_EngineSweepCached)->Arg(1)->Arg(4);
+BENCHMARK(BM_SessionSweepCached)->Arg(1)->Arg(4);
 
 // ---- A/B harness -----------------------------------------------------
 

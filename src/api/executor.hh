@@ -1,9 +1,11 @@
 /**
  * @file
- * The session's asynchronous executor (internal): one shared
- * priority-aware WorkerPool that multiplexes every submitted job's
- * cells, plus the per-job bookkeeping that turns retired cells
- * into the ordered event stream and the final JobCore state.
+ * The session's asynchronous executor (internal) and the library's
+ * only cell runner: one shared priority-aware WorkerPool that
+ * multiplexes every submitted job's cells through
+ * engine::runExperiment, plus the per-job bookkeeping that turns
+ * retired cells into the ordered event stream and the final
+ * JobCore state. Blocking Session::run/sweep calls are jobs too.
  *
  * Scheduling model: a job's cells enter the pool at the job's
  * priority (higher first, FIFO within a priority). An admission
@@ -14,7 +16,7 @@
  * cancelled job drain as cheap skips so accounting always reaches
  * the total. None of this machinery can change a result value:
  * cells write only their own slot and derive all randomness from
- * their spec (the engine's determinism contract).
+ * their spec (the determinism contract in engine/engine.hh).
  *
  * Overload safety: session-wide admission limits
  * (AdmissionLimits, wired from SessionOptions) bound how much work
@@ -58,7 +60,9 @@ struct AdmissionLimits
 class AsyncExecutor
 {
   public:
-    AsyncExecutor(engine::ExperimentEngine &engine, int threads,
+    /** @p cache memoizes every cell's compile; null runs each
+     *  cell's compile locally (the session's compileCache off). */
+    AsyncExecutor(engine::CompileCache *cache, int threads,
                   AdmissionLimits limits = {});
 
     /** Drains every queued cell, then joins the pool. */
@@ -102,8 +106,10 @@ class AsyncExecutor
     /** Register @p core with the deadline watchdog. */
     void armDeadline(const std::shared_ptr<JobCore> &core);
     void watchdogMain();
+    /** Stats of cache_; all zero when there is none. */
+    engine::CompileCacheStats cacheStats() const;
 
-    engine::ExperimentEngine &engine_;
+    engine::CompileCache *const cache_;
     std::atomic<JobId> nextId_{1};
 
     const AdmissionLimits limits_;

@@ -1,17 +1,17 @@
 /**
  * @file
- * The four capability registries behind the façade. Each replaces a
- * formerly closed axis — architectures (a private table inside
- * `engine::findArch`), schedulers (`enum class Heuristic`),
- * unrolling (`UnrollPolicy`), workloads (whatever `mediabench.cc`
- * hard-codes) — with an open, name-keyed registry that is seeded
- * with the paper's entries and accepts user registrations.
+ * The four capability registries behind the façade. Each opens a
+ * closed axis — architectures (the paper's Table 2 configurations),
+ * schedulers (`enum class Heuristic`), unrolling (`UnrollPolicy`),
+ * workloads (the compiled-in `mediabench.cc` suite) — as a
+ * name-keyed registry that is seeded with the paper's entries and
+ * accepts user registrations.
  *
  * `Registries::builtin()` returns a fresh set carrying only the
- * built-ins; `builtinRegistries()` is the shared immutable copy the
- * engine's name-resolution helpers consult. An `api::Session` owns
- * a mutable set of its own, so user registrations are scoped to the
- * session that made them.
+ * built-ins; `builtinRegistries()` is the shared immutable copy
+ * that `engine::makeArch` and grids without a session resolve
+ * through. An `api::Session` owns a mutable set of its own, so user
+ * registrations are scoped to the session that made them.
  */
 
 #ifndef WIVLIW_API_REGISTRIES_HH
@@ -202,7 +202,7 @@ struct Registries
     static Registries builtin();
 };
 
-/** The shared immutable built-in set (engine name resolution). */
+/** The shared immutable built-in set. */
 const Registries &builtinRegistries();
 
 } // namespace vliw::api

@@ -76,17 +76,14 @@ struct Session::Impl
 {
     SessionOptions opts;
     Registries registries = Registries::builtin();
-    engine::ExperimentEngine engine;
-    /** After engine: the executor's pool drains cells that still
-     *  reference the engine and its cache. */
+    engine::CompileCache cache;
+    /** After cache: the executor's pool drains cells that still
+     *  reference it. */
     detail::AsyncExecutor executor;
 
     explicit Impl(const SessionOptions &o)
-        : opts(o),
-          engine(engine::EngineOptions{o.jobs, o.compileCache,
-                                       o.cacheCapacity,
-                                       makeStore(o)}),
-          executor(engine, o.jobs,
+        : opts(o), cache(o.cacheCapacity, makeStore(o)),
+          executor(o.compileCache ? &cache : nullptr, o.jobs,
                    detail::AdmissionLimits{o.maxQueuedCells,
                                            o.maxQueuedJobs})
     {
@@ -354,7 +351,7 @@ Session::compile(const RunRequest &req)
 
     try {
         if (impl_->opts.compileCache) {
-            return impl_->engine.cache().compile(
+            return impl_->cache.compile(
                 spec.value().arch.config, spec.value().opts,
                 *spec.value().workload);
         }
@@ -407,39 +404,25 @@ Session::submit(const SweepRequest &req, const SubmitOptions &opts)
         impl_->executor.submit(specs.take(), true, opts));
 }
 
+// The blocking calls are the async path with default submission
+// options: a request rejected at submission comes back from take()
+// as its Status, with no work started.
 Result<RunResult>
 Session::run(const RunRequest &req)
 {
-    // The async path with default submission options: same cell
-    // kernel, same compile cache, bit-identical to the pre-async
-    // blocking implementation (the engine's determinism contract).
-    return submit(req).wait().take();
+    return submit(req).take();
 }
 
 Result<SweepResult>
 Session::sweep(const SweepRequest &req)
 {
-    // Validate first so a bad request fails atomically with a
-    // Status (the async surface instead parks the error on the
-    // job); then run the pre-resolved specs as a normal job.
-    auto specs = impl_->resolveSweep(req);
-    if (!specs.ok())
-        return specs.status();
-    if (req.jobs > 0) {
-        try {
-            impl_->executor.ensureThreads(req.jobs);
-        } catch (const std::exception &) {
-        }
-    }
-    JobHandle<SweepResult> job(
-        impl_->executor.submit(specs.take(), true, {}));
-    return job.wait().take();
+    return submit(req).take();
 }
 
 engine::CompileCacheStats
 Session::cacheStats() const
 {
-    return impl_->engine.cacheStats();
+    return impl_->cache.stats();
 }
 
 metrics::Snapshot

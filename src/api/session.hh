@@ -3,8 +3,9 @@
  * The stable `vliw::api` façade: one supported entry point for
  * embedding wivliw as a library.
  *
- * An opaque Session wraps the Toolchain, the experiment engine and
- * its CompileCache behind value-type requests:
+ * An opaque Session wraps the Toolchain, the cell kernel
+ * (engine::runExperiment) and its CompileCache behind value-type
+ * requests:
  *
  *   api::Session session;
  *   auto res = session.run({.workload = "gsmdec",

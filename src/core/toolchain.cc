@@ -398,20 +398,8 @@ BenchmarkRun
 Toolchain::simulateBenchmark(const BenchmarkSpec &bench,
                              const CompiledBenchmark &compiledBench) const
 {
-    vliw_assert(compiledBench.loops.size() == bench.loops.size(),
-                "compiled benchmark ", compiledBench.name,
-                " does not match spec ", bench.name);
-
-    SimWorkspace &ws = threadSimWorkspace();
-    ws.clearKernels();
-    const std::vector<LoopKernels> kernels =
-        prepareKernels(compiledBench, ws);
-
-    const DataSet exec_ds = makeDataSet(bench, cfg_, opts_.execSeed,
-                                        opts_.varAlignment);
-    auto mem = makeMemSystem(cfg_);
-    return simulateDataset(cfg_, bench, compiledBench, kernels, ws,
-                           *mem, exec_ds);
+    return std::move(
+        simulateBatch(bench, compiledBench, {opts_.execSeed}).front());
 }
 
 std::vector<BenchmarkRun>
@@ -461,22 +449,6 @@ Toolchain::simulateBatch(const BenchmarkSpec &bench,
                     .count());
         }
     }
-    return runs;
-}
-
-BenchmarkRun
-Toolchain::runBenchmark(const BenchmarkSpec &bench) const
-{
-    return simulateBenchmark(bench, compileBenchmark(bench));
-}
-
-std::vector<BenchmarkRun>
-Toolchain::runSuite(const std::vector<BenchmarkSpec> &suite) const
-{
-    std::vector<BenchmarkRun> runs;
-    runs.reserve(suite.size());
-    for (const BenchmarkSpec &bench : suite)
-        runs.push_back(runBenchmark(bench));
     return runs;
 }
 

@@ -192,9 +192,10 @@ class Toolchain
 
     /**
      * Simulate a previously compiled benchmark on the EXECUTION
-     * data set. @p compiled may come from this toolchain or from a
-     * cache shared between toolchains whose compile-relevant
-     * options match (see engine::compileKey).
+     * data set: a one-seed simulateBatch() under options().execSeed.
+     * @p compiled may come from this toolchain or from a cache
+     * shared between toolchains whose compile-relevant options
+     * match (see engine::compileKey).
      */
     BenchmarkRun simulateBenchmark(const BenchmarkSpec &bench,
                                    const CompiledBenchmark &compiled) const;
@@ -216,13 +217,6 @@ class Toolchain
                   const std::vector<std::uint64_t> &seeds,
                   std::vector<double> *dataset_ms = nullptr,
                   double *setup_ms = nullptr) const;
-
-    /** Compile and simulate every loop of @p bench. */
-    BenchmarkRun runBenchmark(const BenchmarkSpec &bench) const;
-
-    /** Run the full suite. */
-    std::vector<BenchmarkRun>
-    runSuite(const std::vector<BenchmarkSpec> &suite) const;
 
     const MachineConfig &config() const { return cfg_; }
     const ToolchainOptions &options() const { return opts_; }

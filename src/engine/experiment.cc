@@ -11,40 +11,13 @@ archNames()
     return api::builtinRegistries().archs.names();
 }
 
-std::optional<ArchSpec>
-findArch(const std::string &name)
-{
-    auto cfg = api::builtinRegistries().archs.resolve(name);
-    if (!cfg.ok())
-        return std::nullopt;
-    return ArchSpec{name, cfg.take()};
-}
-
 ArchSpec
 makeArch(const std::string &name)
 {
-    auto arch = findArch(name);
-    if (!arch)
+    auto cfg = api::builtinRegistries().archs.resolve(name);
+    if (!cfg.ok())
         vliw_panic("unknown architecture ", name);
-    return *arch;
-}
-
-std::optional<Heuristic>
-findHeuristic(const std::string &name)
-{
-    auto h = api::builtinRegistries().schedulers.resolve(name);
-    if (!h.ok())
-        return std::nullopt;
-    return h.value().heuristic;
-}
-
-std::optional<UnrollPolicy>
-findUnrollPolicy(const std::string &name)
-{
-    auto u = api::builtinRegistries().unrolls.resolve(name);
-    if (!u.ok())
-        return std::nullopt;
-    return u.value();
+    return ArchSpec{name, cfg.take()};
 }
 
 std::string

@@ -1,6 +1,6 @@
 /**
  * @file
- * Experiment descriptions for the batch engine: a named machine
+ * Experiment descriptions for the cell runner: a named machine
  * configuration (the paper's Table 2 points), a single experiment
  * (benchmark x architecture x toolchain options), and a declarative
  * grid whose expansion is the cross-product of its axes in a fixed,
@@ -13,7 +13,6 @@
 #define WIVLIW_ENGINE_EXPERIMENT_HH
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,26 +35,17 @@ const std::vector<std::string> &archNames();
 
 /**
  * Resolve an architecture through the built-in registry (exact
- * names and parametric keys like "interleaved:c8"); nullopt for
+ * names and parametric keys like "interleaved:c8"); panics for
  * unknown names. Session-registered architectures resolve through
  * the session's own registries, not here.
  */
-std::optional<ArchSpec> findArch(const std::string &name);
-
-/** Like findArch(), but panics for unknown names. */
 ArchSpec makeArch(const std::string &name);
-
-/** Resolve a heuristic name through the built-in registry. */
-std::optional<Heuristic> findHeuristic(const std::string &name);
 
 /**
  * The scheduler column/label of a cell: the canonical budget key
  * for optimal-solver cells, heuristicName() otherwise.
  */
 std::string schedulerLabel(const ToolchainOptions &opts);
-
-/** Resolve an unroll-policy name through the built-in registry. */
-std::optional<UnrollPolicy> findUnrollPolicy(const std::string &name);
 
 /** One benchmark under one architecture with one option set. */
 struct ExperimentSpec
@@ -70,12 +60,10 @@ struct ExperimentSpec
      */
     std::vector<std::uint64_t> execSeeds;
     /**
-     * The resolved workload. Grid expansion fills this from the
-     * workload registry (once per benchmark, shared across the
-     * bench's cells, so custom session-registered workloads run
-     * through the engine like any built-in). Null makes the engine
-     * fall back to the built-in suite lookup by `bench` -- the
-     * pre-registry behaviour hand-built specs rely on.
+     * The resolved workload; runExperiment() requires it. The
+     * session and grid expansion fill it from the workload registry
+     * (once per benchmark, shared across the bench's cells, so
+     * custom session-registered workloads run like any built-in).
      */
     std::shared_ptr<const BenchmarkSpec> workload;
 
@@ -141,8 +129,8 @@ struct ExperimentResult
     /**
      * Empty on success; otherwise the compile/simulate failure of
      * this job (e.g. a CompileError message). A failed job has no
-     * datasetRuns; the engine keeps running the rest of the batch
-     * and the façade turns any failure into an `api::Status`.
+     * datasetRuns; the rest of the sweep still runs and the
+     * façade turns any failure into an `api::Status`.
      */
     std::string error;
     /** True when `error` is user-addressable (a CompileError from

@@ -1,6 +1,8 @@
 /**
  * @file
- * Fixed-size worker pool over a mutex/condvar job queue.
+ * Fixed-size worker pool over a mutex/condvar job queue. The only
+ * instance the library creates is the one api::detail::AsyncExecutor
+ * owns, so every cell of every session runs on it.
  *
  * The queue is priority-aware and client-fair. Scheduling order is:
  *
@@ -15,13 +17,13 @@
  *
  * With a single client key (the default) the ring has one slot and
  * the pool degenerates to exactly the old priority-then-FIFO order,
- * which is what the engine determinism tests compare against. The
+ * which is what the sweep determinism tests compare against. The
  * schedule is deterministic given arrival order: ring membership
  * and rotation depend only on the submission sequence, never on
  * which worker thread dequeues.
  *
- * wait() gives a full barrier. Determinism of the experiment engine
- * does not come from the pool (thread interleaving is arbitrary)
+ * wait() gives a full barrier. Determinism of a sweep does not
+ * come from the pool (thread interleaving is arbitrary)
  * but from the jobs themselves: every experiment seeds its own Rng
  * streams and writes to its own result slot, so execution order
  * cannot influence any value — priorities and fairness reorder only
@@ -150,8 +152,8 @@ class WorkerPool
 
 /**
  * Run fn(0) ... fn(n-1) on @p pool and wait for all of them.
- * Indices let each call target its own output slot, which is the
- * pattern every deterministic parallel stage in the engine uses.
+ * Indices let each call target its own output slot, so results do
+ * not depend on which worker ran which call.
  */
 void parallelFor(WorkerPool &pool, std::size_t n,
                  const std::function<void(std::size_t)> &fn);

@@ -66,8 +66,9 @@ TEST(Session, RunMatchesDirectToolchainBitForBit)
     opts.heuristic = Heuristic::Ipbc;
     opts.unroll = UnrollPolicy::Selective;
     const Toolchain chain(MachineConfig::paperInterleavedAb(), opts);
+    const BenchmarkSpec gsm = makeBenchmark("gsmdec");
     const BenchmarkRun direct =
-        chain.runBenchmark(makeBenchmark("gsmdec"));
+        chain.simulateBenchmark(gsm, chain.compileBenchmark(gsm));
 
     const BenchmarkRun &run = res.value().run();
     EXPECT_EQ(run.total.totalCycles, direct.total.totalCycles);

@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the batch experiment engine: grid expansion, the worker
- * pool, compile-result memoization, the determinism contract
- * (parallel == serial == direct Toolchain, bit for bit), and the
- * report serialisers.
+ * Tests for the experiment engine: grid expansion, the worker pool,
+ * compile-result memoization, the determinism contract of
+ * api::Session::sweep (parallel == serial == cache off == direct
+ * Toolchain, bit for bit), and the report serialisers.
  */
 
 #include <gtest/gtest.h>
@@ -16,9 +16,9 @@
 #include <set>
 #include <sstream>
 
+#include "api/api.hh"
 #include "dist/compile_store.hh"
 #include "engine/compile_cache.hh"
-#include "engine/engine.hh"
 #include "engine/report.hh"
 #include "engine/worker_pool.hh"
 #include "workloads/mediabench.hh"
@@ -26,9 +26,10 @@
 namespace vliw {
 namespace {
 
+using api::Session;
+using api::SessionOptions;
+using api::SweepRequest;
 using engine::CompileCacheStats;
-using engine::EngineOptions;
-using engine::ExperimentEngine;
 using engine::ExperimentGrid;
 using engine::ExperimentResult;
 using engine::ExperimentSpec;
@@ -103,6 +104,19 @@ resultsEqual(const std::vector<ExperimentResult> &a,
         }
     }
     return ::testing::AssertionSuccess();
+}
+
+/** The experiments of @p req swept on @p session, in grid order. */
+std::vector<ExperimentResult>
+sweep(Session &session, const SweepRequest &req)
+{
+    auto res = session.sweep(req);
+    if (!res.ok()) {
+        ADD_FAILURE() << res.status().toString();
+        return {};
+    }
+    EXPECT_EQ(res.value().failedCount(), 0u);
+    return std::move(res.value().experiments);
 }
 
 // ---- grid expansion ----
@@ -320,51 +334,51 @@ TEST(CompileKey, CoversCompileRelevantInputs)
 
 TEST(CompileCache, SharesCompilesAcrossArchVariants)
 {
-    ExperimentGrid grid;
-    grid.benches = {"gsmdec", "rasta"};
-    grid.archs = {"interleaved", "interleaved-ab"};
+    SweepRequest req;
+    req.workloads = {"gsmdec", "rasta"};
+    req.archs = {"interleaved", "interleaved-ab"};
 
-    ExperimentEngine cached{EngineOptions{/*jobs=*/1, true}};
-    const auto warm = cached.run(grid);
+    Session cached{SessionOptions{/*jobs=*/1, /*compileCache=*/true}};
+    const auto warm = sweep(cached, req);
     const CompileCacheStats stats = cached.cacheStats();
     EXPECT_EQ(stats.misses, 2u);    // one compile per benchmark
     EXPECT_EQ(stats.hits, 2u);      // one reuse per benchmark
-    for (const std::string &bench : grid.benches) {
+    for (const std::string &bench : req.workloads) {
         ASSERT_TRUE(stats.hitsByBench.count(bench)) << bench;
         EXPECT_GE(stats.hitsByBench.at(bench), 1u) << bench;
     }
 
     // Memoization must be invisible in the results.
-    ExperimentEngine cold{EngineOptions{/*jobs=*/1, false}};
-    const auto cold_results = cold.run(grid);
+    Session cold{SessionOptions{/*jobs=*/1, /*compileCache=*/false}};
+    const auto cold_results = sweep(cold, req);
     EXPECT_TRUE(resultsEqual(warm, cold_results));
     EXPECT_EQ(cold.cacheStats().hits + cold.cacheStats().misses, 0u);
 }
 
 TEST(CompileCache, DistinctLatenciesDoNotShare)
 {
-    ExperimentGrid grid;
-    grid.benches = {"gsmdec"};
-    grid.archs = {"unified1", "unified5"};
-    grid.heuristics = {"base"};
+    SweepRequest req;
+    req.workloads = {"gsmdec"};
+    req.archs = {"unified1", "unified5"};
+    req.schedulers = {"base"};
 
-    ExperimentEngine eng{EngineOptions{/*jobs=*/1, true}};
-    eng.run(grid);
-    EXPECT_EQ(eng.cacheStats().misses, 2u);
-    EXPECT_EQ(eng.cacheStats().hits, 0u);
+    Session session{SessionOptions{/*jobs=*/1, /*compileCache=*/true}};
+    sweep(session, req);
+    EXPECT_EQ(session.cacheStats().misses, 2u);
+    EXPECT_EQ(session.cacheStats().hits, 0u);
 }
 
-TEST(CompileCache, PersistsAcrossBatches)
+TEST(CompileCache, PersistsAcrossSweeps)
 {
-    ExperimentGrid grid;
-    grid.benches = {"gsmdec"};
-    grid.archs = {"interleaved"};
+    SweepRequest req;
+    req.workloads = {"gsmdec"};
+    req.archs = {"interleaved"};
 
-    ExperimentEngine eng{EngineOptions{/*jobs=*/2, true}};
-    eng.run(grid);
-    eng.run(grid);
-    EXPECT_EQ(eng.cacheStats().misses, 1u);
-    EXPECT_EQ(eng.cacheStats().hits, 1u);
+    Session session{SessionOptions{/*jobs=*/2, /*compileCache=*/true}};
+    sweep(session, req);
+    sweep(session, req);
+    EXPECT_EQ(session.cacheStats().misses, 1u);
+    EXPECT_EQ(session.cacheStats().hits, 1u);
 }
 
 TEST(CompileCache, CapacityEvictsLruAndCountsEvictions)
@@ -469,61 +483,69 @@ TEST(CompileCache, FailedCompilesAreNotCached)
 
 // ---- determinism ----
 
-class EngineDeterminism : public ::testing::Test
+class SweepDeterminism : public ::testing::Test
 {
   protected:
-    static ExperimentGrid
-    grid()
+    static SweepRequest
+    request()
     {
-        ExperimentGrid g;
-        g.benches = {"gsmdec", "epicdec"};
-        g.archs = {"interleaved", "interleaved-ab", "unified5"};
-        g.heuristics = {"ipbc"};
-        return g;
+        SweepRequest req;
+        req.workloads = {"gsmdec", "epicdec"};
+        req.archs = {"interleaved", "interleaved-ab", "unified5"};
+        req.schedulers = {"ipbc"};
+        return req;
     }
 };
 
-TEST_F(EngineDeterminism, ParallelMatchesSerialBitForBit)
+TEST_F(SweepDeterminism, ParallelMatchesSerialBitForBit)
 {
-    ExperimentEngine serial{EngineOptions{/*jobs=*/1, true}};
-    ExperimentEngine parallel{EngineOptions{/*jobs=*/8, true}};
-    const auto a = serial.run(grid());
-    const auto b = parallel.run(grid());
+    Session serial{SessionOptions{/*jobs=*/1, /*compileCache=*/true}};
+    Session parallel{SessionOptions{/*jobs=*/8, /*compileCache=*/true}};
+    const auto a = sweep(serial, request());
+    const auto b = sweep(parallel, request());
     EXPECT_TRUE(resultsEqual(a, b));
 }
 
-TEST_F(EngineDeterminism, EngineMatchesDirectToolchain)
+TEST_F(SweepDeterminism, CacheOffMatchesCacheOn)
 {
-    ExperimentEngine eng{EngineOptions{/*jobs=*/4, true}};
-    const auto results = eng.run(grid());
-    for (const ExperimentResult &r : results) {
+    Session cached{SessionOptions{/*jobs=*/8, /*compileCache=*/true}};
+    Session cold{SessionOptions{/*jobs=*/8, /*compileCache=*/false}};
+    EXPECT_TRUE(resultsEqual(sweep(cached, request()),
+                             sweep(cold, request())));
+}
+
+TEST_F(SweepDeterminism, SweepMatchesDirectToolchain)
+{
+    Session session{SessionOptions{/*jobs=*/4, /*compileCache=*/true}};
+    for (const ExperimentResult &r : sweep(session, request())) {
         const Toolchain chain(r.spec.arch.config, r.spec.opts);
+        const BenchmarkSpec bench = makeBenchmark(r.spec.bench);
         const BenchmarkRun direct =
-            chain.runBenchmark(makeBenchmark(r.spec.bench));
+            chain.simulateBenchmark(bench, chain.compileBenchmark(bench));
         EXPECT_TRUE(simStatsEqual(direct.total, r.run().total))
             << r.spec.label();
     }
 }
 
-TEST_F(EngineDeterminism, RepeatedRunsAreIdentical)
+TEST_F(SweepDeterminism, RepeatedRunsAreIdentical)
 {
-    ExperimentEngine eng{EngineOptions{/*jobs=*/8, true}};
-    const auto a = eng.run(grid());
-    const auto b = eng.run(grid());
+    Session session{SessionOptions{/*jobs=*/8, /*compileCache=*/true}};
+    const auto a = sweep(session, request());
+    const auto b = sweep(session, request());
     EXPECT_TRUE(resultsEqual(a, b));
 }
 
 // Versioning compiles a second loop body per hot chain; it must not
 // disturb the determinism contract either.
-TEST(EngineDeterminismVersioning, ParallelMatchesSerial)
+TEST(SweepDeterminismVersioning, ParallelMatchesSerial)
 {
-    ExperimentGrid g;
-    g.benches = {"epicdec"};
-    g.archs = {"interleaved"};
-    g.versioning = {false, true};
-    ExperimentEngine serial{EngineOptions{/*jobs=*/1, true}};
-    ExperimentEngine parallel{EngineOptions{/*jobs=*/8, true}};
-    EXPECT_TRUE(resultsEqual(serial.run(g), parallel.run(g)));
+    SweepRequest req;
+    req.workloads = {"epicdec"};
+    req.archs = {"interleaved"};
+    req.versioning = {false, true};
+    Session serial{SessionOptions{/*jobs=*/1, /*compileCache=*/true}};
+    Session parallel{SessionOptions{/*jobs=*/8, /*compileCache=*/true}};
+    EXPECT_TRUE(resultsEqual(sweep(serial, req), sweep(parallel, req)));
 }
 
 // ---- report ----
@@ -535,11 +557,12 @@ class ReportTest : public ::testing::Test
     results()
     {
         static const std::vector<ExperimentResult> r = [] {
-            ExperimentGrid g;
-            g.benches = {"gsmdec"};
-            g.archs = {"interleaved", "interleaved-ab"};
-            ExperimentEngine eng{EngineOptions{/*jobs=*/2, true}};
-            return eng.run(g);
+            SweepRequest req;
+            req.workloads = {"gsmdec"};
+            req.archs = {"interleaved", "interleaved-ab"};
+            Session session{
+                SessionOptions{/*jobs=*/2, /*compileCache=*/true}};
+            return sweep(session, req);
         }();
         return r;
     }

@@ -40,10 +40,23 @@ csvOf(const std::vector<engine::ExperimentResult> &results)
     return os.str();
 }
 
-/** Release-on-command gate to park the single worker. */
+/**
+ * Release-on-command gate to park the single worker. park() submits
+ * the gate job and returns only once the worker has entered it, so
+ * every job submitted afterwards is queued behind a busy worker and
+ * dispatch order depends on the queue alone.
+ */
 class Gate
 {
   public:
+    void
+    park(engine::WorkerPool &pool)
+    {
+        pool.submit([this] { wait(); });
+        std::unique_lock<std::mutex> lock(mu_);
+        cv_.wait(lock, [this] { return entered_; });
+    }
+
     void
     open()
     {
@@ -52,16 +65,19 @@ class Gate
         cv_.notify_all();
     }
 
+  private:
     void
     wait()
     {
         std::unique_lock<std::mutex> lock(mu_);
+        entered_ = true;
+        cv_.notify_all();
         cv_.wait(lock, [this] { return open_; });
     }
 
-  private:
     std::mutex mu_;
     std::condition_variable cv_;
+    bool entered_ = false;
     bool open_ = false;
 };
 
@@ -82,7 +98,7 @@ TEST(Fairness, PoolRoundRobinsClientsWithinAPriorityBand)
     // let a greedy client stack 6 jobs before a small client adds
     // 2. Quantum-1 round-robin must interleave the small client's
     // jobs instead of appending them after the backlog.
-    pool.submit([&gate] { gate.wait(); });
+    gate.park(pool);
     for (int i = 0; i < 6; ++i)
         pool.submit(record("g" + std::to_string(i)), 0, 1);
     pool.submit(record("s0"), 0, 2);
@@ -108,7 +124,7 @@ TEST(Fairness, SingleClientKeepsPriorityThenFifoOrder)
         };
     };
 
-    pool.submit([&gate] { gate.wait(); });
+    gate.park(pool);
     // One (anonymous) client across three priorities: the classic
     // highest-priority-first, FIFO-within-priority order must be
     // exactly preserved.
@@ -136,7 +152,7 @@ TEST(Fairness, HigherPriorityBandDrainsBeforeFairnessApplies)
         };
     };
 
-    pool.submit([&gate] { gate.wait(); });
+    gate.park(pool);
     pool.submit(record("low-a"), 0, 1);
     pool.submit(record("high-b"), 5, 2);
     pool.submit(record("low-b"), 0, 2);

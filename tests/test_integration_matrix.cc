@@ -91,7 +91,8 @@ TEST_P(IntegrationMatrix, CompilesAndSimulates)
     }
 
     // Whole-benchmark simulation sanity.
-    const BenchmarkRun run = chain.runBenchmark(bench);
+    const BenchmarkRun run =
+        chain.simulateBenchmark(bench, chain.compileBenchmark(bench));
     EXPECT_GT(run.total.totalCycles, 0);
     EXPECT_LT(run.total.stallCycles, run.total.totalCycles);
     EXPECT_GT(run.total.memAccesses, 0u);

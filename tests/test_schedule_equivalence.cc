@@ -103,7 +103,10 @@ runCell(const GridCell &cell)
     const BenchmarkSpec bench = makeBenchmark(cell.bench);
     const engine::ArchSpec arch = engine::makeArch(cell.arch);
     ToolchainOptions opts;
-    opts.heuristic = *engine::findHeuristic(cell.heuristic);
+    opts.heuristic = api::builtinRegistries()
+                         .schedulers.resolve(cell.heuristic)
+                         .value()
+                         .heuristic;
     const Toolchain chain(arch.config, opts);
 
     const CompiledBenchmark compiled = chain.compileBenchmark(bench);

@@ -185,7 +185,8 @@ TEST(SimBatch, WorkspaceStateCleanAcrossArchitectures)
     auto run_arch = [&](const std::string &arch) {
         const MachineConfig cfg = engine::makeArch(arch).config;
         const Toolchain chain(cfg, ToolchainOptions{});
-        return chain.runBenchmark(bench);
+        return chain.simulateBenchmark(bench,
+                                       chain.compileBenchmark(bench));
     };
 
     // Fresh-workspace references, one thread per architecture.

@@ -82,7 +82,8 @@ runCell(const GridCell &cell)
     const BenchmarkSpec bench = makeBenchmark(cell.bench);
     const engine::ArchSpec arch = engine::makeArch(cell.arch);
     const Toolchain chain(arch.config, ToolchainOptions{});
-    const BenchmarkRun run = chain.runBenchmark(bench);
+    const BenchmarkRun run =
+        chain.simulateBenchmark(bench, chain.compileBenchmark(bench));
 
     std::ostringstream os;
     for (const LoopRun &lr : run.loops) {

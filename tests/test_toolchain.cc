@@ -89,12 +89,13 @@ TEST(Toolchain, ExhaustedIiBudgetThrowsCompileError)
                  CompileError);
 }
 
-TEST(Toolchain, RunBenchmarkProducesSaneStats)
+TEST(Toolchain, CompileAndSimulateProducesSaneStats)
 {
     const MachineConfig cfg = MachineConfig::paperInterleavedAb();
     const Toolchain chain(cfg, baseOptions(Heuristic::Ipbc));
+    const BenchmarkSpec rasta = makeBenchmark("rasta");
     const BenchmarkRun run =
-        chain.runBenchmark(makeBenchmark("rasta"));
+        chain.simulateBenchmark(rasta, chain.compileBenchmark(rasta));
     EXPECT_GT(run.total.totalCycles, 0);
     EXPECT_GT(run.total.memAccesses, 0u);
     EXPECT_GE(run.total.stallCycles, 0);
@@ -130,7 +131,13 @@ class PaperShapes : public ::testing::Test
     static std::vector<BenchmarkRun>
     run(const MachineConfig &cfg, const ToolchainOptions &opts)
     {
-        return Toolchain(cfg, opts).runSuite(mediabenchSuite());
+        const Toolchain chain(cfg, opts);
+        std::vector<BenchmarkRun> runs;
+        for (const BenchmarkSpec &bench : mediabenchSuite()) {
+            runs.push_back(chain.simulateBenchmark(
+                bench, chain.compileBenchmark(bench)));
+        }
+        return runs;
     }
 };
 

@@ -32,6 +32,15 @@ twoRegionBench(std::int64_t store_offset)
     return b;
 }
 
+/** Compile @p bench under (@p cfg, @p opts) and simulate it. */
+BenchmarkRun
+compileAndSimulate(const MachineConfig &cfg, const ToolchainOptions &opts,
+                   const BenchmarkSpec &bench)
+{
+    const Toolchain chain(cfg, opts);
+    return chain.simulateBenchmark(bench, chain.compileBenchmark(bench));
+}
+
 TEST(Versioning, AccessRangeCoversTheWalk)
 {
     const MachineConfig cfg = MachineConfig::paperInterleaved();
@@ -96,8 +105,7 @@ TEST(Versioning, ToolchainPicksUnchainedVersionWhenSafe)
     opts.loopVersioning = true;
 
     const BenchmarkSpec disjoint = twoRegionBench(4 * 1024);
-    const BenchmarkRun run =
-        Toolchain(cfg, opts).runBenchmark(disjoint);
+    const BenchmarkRun run = compileAndSimulate(cfg, opts, disjoint);
     ASSERT_EQ(run.loops.size(), 1u);
     EXPECT_EQ(run.loops.front().unchainedInvocations, 2);
 }
@@ -110,8 +118,7 @@ TEST(Versioning, ToolchainKeepsChainsWhenAliased)
     opts.loopVersioning = true;
 
     const BenchmarkSpec aliased = twoRegionBench(16);
-    const BenchmarkRun run =
-        Toolchain(cfg, opts).runBenchmark(aliased);
+    const BenchmarkRun run = compileAndSimulate(cfg, opts, aliased);
     ASSERT_EQ(run.loops.size(), 1u);
     EXPECT_EQ(run.loops.front().unchainedInvocations, 0);
 }
@@ -127,9 +134,8 @@ TEST(Versioning, NeverSlowerOnTheSuite)
     versioned.loopVersioning = true;
 
     const BenchmarkSpec epic = makeBenchmark("epicdec");
-    const BenchmarkRun a = Toolchain(cfg, plain).runBenchmark(epic);
-    const BenchmarkRun b =
-        Toolchain(cfg, versioned).runBenchmark(epic);
+    const BenchmarkRun a = compileAndSimulate(cfg, plain, epic);
+    const BenchmarkRun b = compileAndSimulate(cfg, versioned, epic);
     EXPECT_LE(b.total.totalCycles,
               a.total.totalCycles + a.total.totalCycles / 20);
     // The false-alias band_merge loop must have been unchained.
@@ -146,8 +152,8 @@ TEST(Versioning, OffByDefault)
     const MachineConfig cfg = MachineConfig::paperInterleavedAb();
     ToolchainOptions opts;
     opts.heuristic = Heuristic::Ipbc;
-    const BenchmarkRun run = Toolchain(cfg, opts).runBenchmark(
-        twoRegionBench(4 * 1024));
+    const BenchmarkRun run =
+        compileAndSimulate(cfg, opts, twoRegionBench(4 * 1024));
     EXPECT_EQ(run.loops.front().unchainedInvocations, 0);
 }
 
