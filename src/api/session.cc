@@ -1,6 +1,8 @@
 #include "session.hh"
 
 #include <cstdio>
+#include <mutex>
+#include <shared_mutex>
 
 #include "api/executor.hh"
 #include "dist/compile_store.hh"
@@ -75,6 +77,11 @@ SweepResult::firstError() const
 struct Session::Impl
 {
     SessionOptions opts;
+    /**
+     * Guards `registries` between threads: exclusive for every
+     * register* call, shared for request resolution and listings.
+     */
+    mutable std::shared_mutex registryMutex;
     Registries registries = Registries::builtin();
     engine::CompileCache cache;
     /** After cache: the executor's pool drains cells that still
@@ -116,6 +123,7 @@ struct Session::Impl
         if (Status s = validateDatasets(req.datasets); !s.ok())
             return s;
 
+        std::shared_lock lock(registryMutex);
         auto arch = registries.archs.resolve(req.arch);
         if (!arch.ok())
             return arch.status();
@@ -171,6 +179,7 @@ struct Session::Impl
                 "every sweep axis needs at least one entry");
         }
 
+        std::shared_lock lock(registryMutex);
         const Registries &reg = registries;
         for (const std::string &name : req.workloads) {
             if (!reg.workloads.contains(name))
@@ -292,7 +301,10 @@ Session::registerWorkloadText(const std::string &name,
     }
 
     // All-or-nothing: check every name before touching the
-    // registry, so a mid-list collision cannot half-register.
+    // registry, so a mid-list collision cannot half-register. The
+    // check and the adds share one exclusive section, so a
+    // concurrent registration cannot slip in between.
+    std::unique_lock lock(impl_->registryMutex);
     WorkloadRegistry &workloads = impl_->registries.workloads;
     std::vector<BenchmarkSpec *> fresh;
     for (BenchmarkSpec *spec : chosen) {
@@ -330,7 +342,9 @@ Session::registerWorkloadText(const std::string &name,
 Result<std::string>
 Session::dumpWorkloadText(const std::string &workload) const
 {
+    std::shared_lock lock(impl_->registryMutex);
     auto spec = impl_->registries.workloads.resolve(workload);
+    lock.unlock();
     if (!spec.ok())
         return spec.status();
     return lang::dumpWorkloadText(*spec.value());
@@ -339,7 +353,22 @@ Session::dumpWorkloadText(const std::string &workload) const
 Result<MachineConfig>
 Session::resolveArch(const std::string &key) const
 {
+    std::shared_lock lock(impl_->registryMutex);
     return impl_->registries.archs.resolve(key);
+}
+
+std::vector<std::string>
+Session::registeredNames(RegistryAxis axis) const
+{
+    std::shared_lock lock(impl_->registryMutex);
+    const Registries &reg = impl_->registries;
+    switch (axis) {
+      case RegistryAxis::Archs:      return reg.archs.names();
+      case RegistryAxis::Schedulers: return reg.schedulers.names();
+      case RegistryAxis::Unrolls:    return reg.unrolls.names();
+      case RegistryAxis::Workloads:  break;
+    }
+    return reg.workloads.names();
 }
 
 Result<std::shared_ptr<const CompiledBenchmark>>

@@ -40,8 +40,16 @@
  * instead of terminating. One Session may serve many concurrent
  * clients (the `wivliw serve` daemon multiplexes every connection
  * over a single Session precisely so the per-session CompileCache
- * is shared across requests); registrations should happen before
- * concurrent submission starts.
+ * is shared across requests).
+ *
+ * Concurrency contract for the registries: the Session's own calls
+ * are safe from any thread at any time. registerWorkloadText()
+ * takes the registry lock exclusively; submit(), run(), sweep(),
+ * compile(), resolveArch(), dumpWorkloadText() and
+ * registeredNames() take it shared, and registeredNames() returns
+ * a copy, so one client may register workloads while others submit
+ * and list. The raw registries() accessor is not locked: register
+ * through it before concurrent use starts, or not at all.
  */
 
 #ifndef WIVLIW_API_SESSION_HH
@@ -59,6 +67,9 @@
 #include "support/metrics.hh"
 
 namespace vliw::api {
+
+/** One capability axis of the session's registries. */
+enum class RegistryAxis { Archs, Schedulers, Unrolls, Workloads };
 
 /** Session-wide execution knobs. */
 struct SessionOptions
@@ -215,9 +226,20 @@ class Session
     Session(const Session &) = delete;
     Session &operator=(const Session &) = delete;
 
-    /** The session's registries; register custom entries here. */
+    /**
+     * The session's registries, unlocked: register custom entries
+     * here before the session is shared between threads (see the
+     * concurrency contract above).
+     */
     Registries &registries();
     const Registries &registries() const;
+
+    /**
+     * The names registered on @p axis, in registration order,
+     * copied under the registry lock: safe while other threads
+     * register workloads.
+     */
+    std::vector<std::string> registeredNames(RegistryAxis axis) const;
 
     /**
      * Register workloads described in the .wvl workload language

@@ -259,19 +259,6 @@ Toolchain::compileBenchmark(const BenchmarkSpec &bench) const
 
 namespace {
 
-/** Hot-path address callback bound to a resolver (no heap). */
-AddressSource
-resolverSource(const AddressResolver &addr)
-{
-    AddressSource src;
-    src.ctx = &addr;
-    src.fn = [](const void *ctx, NodeId v, std::int64_t iter) {
-        return static_cast<const AddressResolver *>(ctx)
-            ->addressOf(v, iter);
-    };
-    return src;
-}
-
 /** Kernel handles of one loop's compiled versions. */
 struct LoopKernels
 {
@@ -349,7 +336,7 @@ simulateDataset(const MachineConfig &cfg, const BenchmarkSpec &bench,
             params.iterations = version->kernelIterations;
             params.startCycle = clock;
             const SimRunResult result =
-                ws.run(kernel, params, resolverSource(*addr), mem,
+                ws.run(kernel, params, AddressSource::of(*addr), mem,
                        cfg);
             lr.sim.merge(result.stats);
             clock = result.endCycle;
@@ -371,7 +358,8 @@ simulateDataset(const MachineConfig &cfg, const BenchmarkSpec &bench,
 
 /** Decode every compiled loop (and versioned body) once. */
 std::vector<LoopKernels>
-prepareKernels(const CompiledBenchmark &compiledBench,
+prepareKernels(const MachineConfig &cfg,
+               const CompiledBenchmark &compiledBench,
                SimWorkspace &ws)
 {
     std::vector<LoopKernels> kernels;
@@ -380,12 +368,14 @@ prepareKernels(const CompiledBenchmark &compiledBench,
         LoopKernels lk;
         lk.primary = ws.prepare(versions.primary.ddg,
                                 versions.primary.sched.schedule,
-                                versions.primary.latency.latencies);
+                                versions.primary.latency.latencies,
+                                cfg.regBusLatency);
         if (versions.unchained) {
             lk.unchained =
                 ws.prepare(versions.unchained->ddg,
                            versions.unchained->sched.schedule,
-                           versions.unchained->latency.latencies);
+                           versions.unchained->latency.latencies,
+                           cfg.regBusLatency);
         }
         kernels.push_back(lk);
     }
@@ -420,7 +410,7 @@ Toolchain::simulateBatch(const BenchmarkSpec &bench,
     SimWorkspace &ws = threadSimWorkspace();
     ws.clearKernels();
     const std::vector<LoopKernels> kernels =
-        prepareKernels(compiledBench, ws);
+        prepareKernels(cfg_, compiledBench, ws);
     auto mem = makeMemSystem(cfg_);
     if (setup_ms) {
         *setup_ms = std::chrono::duration<double, std::milli>(

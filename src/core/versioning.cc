@@ -42,15 +42,16 @@ accessRange(const Ddg &ddg, const AddressResolver &resolver,
     // Exact sweep: kernel trip counts are small, and symbol
     // wrapping makes closed-form endpoint reasoning brittle.
     const MemAccessInfo &info = ddg.memInfo(v);
-    AccessRange range{~0ULL, 0};
+    AddressCursor cursor(resolver.stream(v));
+    std::uint64_t lo = ~0ULL;
+    std::uint64_t hi = 0;
     for (std::int64_t i = 0; i < std::max<std::int64_t>(1, iterations);
          ++i) {
-        const std::uint64_t a = resolver.addressOf(v, i);
-        range.lo = std::min(range.lo, a);
-        range.hi = std::max(range.hi,
-                            a + std::uint64_t(info.granularity) - 1);
+        const std::uint64_t a = cursor.next(i);
+        lo = std::min(lo, a);
+        hi = std::max(hi, a);
     }
-    return range;
+    return {lo, hi + std::uint64_t(info.granularity) - 1};
 }
 
 bool

@@ -21,12 +21,24 @@ SimWorkspace::kernelStorage()
     return *kernels_[usedKernels_++];
 }
 
+namespace {
+
+/** Smallest power of two >= @p n (n >= 1). */
+std::int64_t
+nextPow2(std::int64_t n)
+{
+    std::int64_t p = 1;
+    while (p < n)
+        p <<= 1;
+    return p;
+}
+
+} // namespace
+
 int
 SimWorkspace::prepare(const Ddg &ddg, const Schedule &sched,
-                      const LatencyMap &lat)
+                      const LatencyMap &lat, int regBusLatency)
 {
-    vliw_assert(sched.stageCount + 2 < kRing,
-                "stage count exceeds the instance ring");
     vliw_assert(sched.ii > 0, "degenerate II");
 
     const int handle = int(usedKernels_);
@@ -35,10 +47,13 @@ SimWorkspace::prepare(const Ddg &ddg, const Schedule &sched,
     k.sched = &sched;
     k.ii = sched.ii;
     k.length = sched.length;
+    k.regBusLatency = regBusLatency;
 
     const std::size_t num_nodes = std::size_t(ddg.numNodes());
     const std::size_t num_copies = sched.copies.size();
     const std::size_t num_items = num_nodes + num_copies;
+    k.numOps = num_nodes;
+    k.numCopies = num_copies;
 
     // ---- Issue items (ops + copies), stably sorted by cycle. ----
     // The scratch list is built in (node ids, then copy ids) order;
@@ -65,9 +80,9 @@ SimWorkspace::prepare(const Ddg &ddg, const Schedule &sched,
                   return ca != cb ? ca < cb : a < b;
               });
 
-    // ---- Per-item hot attributes + the periodic issue order. ----
-    k.items.resize(num_items);
-    k.waveSeq.resize(num_items);
+    // ---- Per-item hot attributes + the periodic issue slots. ----
+    allItems_.resize(num_items);
+    allIssues_.resize(num_items);
     k.maxStage = 0;
     itemOfNode_.assign(num_nodes, -1);
     itemOfCopy_.assign(num_copies, -1);
@@ -79,7 +94,7 @@ SimWorkspace::prepare(const Ddg &ddg, const Schedule &sched,
         else
             itemOfCopy_[scratch - num_nodes] = int(idx);
 
-        HotItem &item = k.items[idx];
+        HotItem &item = allItems_[idx];
         item.node = proto.node;
         item.cluster = proto.cluster;
         item.memStore = 0;
@@ -99,34 +114,46 @@ SimWorkspace::prepare(const Ddg &ddg, const Schedule &sched,
             item.latOrSize = lat(proto.node);
         }
 
-        Issue &issue = k.waveSeq[idx];
+        Issue &issue = allIssues_[idx];
         issue.item = std::int32_t(idx);
         issue.stage = std::int32_t(proto.cycle / k.ii);
         issue.phase = std::int32_t(proto.cycle % k.ii);
         k.maxStage = std::max(k.maxStage, int(issue.stage));
     }
-    // Wave order (r asc, s desc, item asc) == the seed heap's pop
-    // order (nominal, iter, item) restricted to one wave.
-    std::sort(k.waveSeq.begin(), k.waveSeq.end(),
-              [](const Issue &a, const Issue &b) {
-                  if (a.phase != b.phase)
-                      return a.phase < b.phase;
-                  if (a.stage != b.stage)
-                      return a.stage > b.stage;
-                  return a.item < b.item;
-              });
 
-    // ---- Operands per item, in CSR form. ----
-    k.opOffsets.resize(num_items + 1);
-    k.operands.clear();
+    // ---- Register operands, each proved stall-free or dynamic. ----
+    // A compute or copy producer's value is ready by the consumer's
+    // nominal issue time whenever the schedule honours its latency;
+    // since the stall offset only grows between the two issues, it
+    // is ready at the real issue time too (see the header comment).
+    auto provedLatency = [&](int src_item) {
+        const HotItem &src = allItems_[std::size_t(src_item)];
+        if (src.kind == ItemKind::Compute)
+            return src.latOrSize;
+        if (src.kind == ItemKind::Copy)
+            return regBusLatency;
+        return -1;   // loads (and stores) stay dynamic
+    };
+    auto cycleOf = [&](int item) {
+        return itemScratch_[std::size_t(sortPerm_[std::size_t(item)])]
+            .cycle;
+    };
+    auto addOperand = [&](int consumer, int src_item, int distance) {
+        const int latency = provedLatency(src_item);
+        const bool proved = latency >= 0 &&
+            std::int64_t(cycleOf(consumer)) +
+                    std::int64_t(distance) * k.ii >=
+                std::int64_t(cycleOf(src_item)) + latency;
+        protoOps_.push_back({consumer, src_item, distance, !proved});
+    };
+    protoOps_.clear();
     for (std::size_t idx = 0; idx < num_items; ++idx) {
-        k.opOffsets[idx] = std::int32_t(k.operands.size());
         const ProtoItem &proto =
             itemScratch_[std::size_t(sortPerm_[idx])];
         if (proto.isCopy) {
             // The copy reads the producer's register in its cluster.
-            k.operands.push_back(
-                {itemOfNode_[std::size_t(proto.node)], 0, proto.node});
+            addOperand(int(idx), itemOfNode_[std::size_t(proto.node)],
+                       0);
             continue;
         }
         const NodeId v = proto.node;
@@ -134,12 +161,6 @@ SimWorkspace::prepare(const Ddg &ddg, const Schedule &sched,
             const DdgEdge &e = ddg.edge(eidx);
             if (e.kind != DepKind::RegFlow)
                 continue;
-            // The ring must outlive a value from instance j until
-            // its most distant consumer at j + distance retires;
-            // the same margin the stage-count guard gives.
-            vliw_assert(e.distance + sched.stageCount + 2 < kRing,
-                        "loop-carried distance exceeds the "
-                        "instance ring");
             int src_item;
             if (sched.clusterOf(e.src) == sched.clusterOf(v)) {
                 src_item = itemOfNode_[std::size_t(e.src)];
@@ -152,17 +173,82 @@ SimWorkspace::prepare(const Ddg &ddg, const Schedule &sched,
                 src_item = itemOfCopy_[std::size_t(
                     copy - sched.copies.data())];
             }
-            k.operands.push_back({src_item, e.distance, e.src});
+            addOperand(int(idx), src_item, e.distance);
         }
     }
-    k.opOffsets[num_items] = std::int32_t(k.operands.size());
+
+    // ---- Active items: memory ops, dynamic consumers, and the
+    // values those consumers read. ----
+    activeOf_.assign(num_items, -1);
+    int max_distance = 0;
+    for (std::size_t idx = 0; idx < num_items; ++idx) {
+        if (allItems_[idx].kind == ItemKind::Load ||
+            allItems_[idx].kind == ItemKind::Store)
+            activeOf_[idx] = 0;
+    }
+    for (const ProtoOperand &op : protoOps_) {
+        if (!op.dynamic)
+            continue;
+        activeOf_[std::size_t(op.consumer)] = 0;
+        activeOf_[std::size_t(op.srcItem)] = 0;
+        max_distance = std::max(max_distance, op.distance);
+    }
+    k.items.clear();
+    k.waveSeq.clear();
+    for (std::size_t idx = 0; idx < num_items; ++idx) {
+        if (activeOf_[idx] < 0)
+            continue;
+        activeOf_[idx] = int(k.items.size());
+        k.items.push_back(allItems_[idx]);
+        Issue issue = allIssues_[idx];
+        issue.item = std::int32_t(activeOf_[idx]);
+        k.waveSeq.push_back(issue);
+    }
+    // Wave order (r asc, s desc, item asc) == the seed heap's pop
+    // order (nominal, iter, item) restricted to one wave; the
+    // active renumbering preserves item order.
+    std::sort(k.waveSeq.begin(), k.waveSeq.end(),
+              [](const Issue &a, const Issue &b) {
+                  if (a.phase != b.phase)
+                      return a.phase < b.phase;
+                  if (a.stage != b.stage)
+                      return a.stage > b.stage;
+                  return a.item < b.item;
+              });
+
+    // ---- Dynamic operands per active item, in CSR form. ----
+    // protoOps_ is grouped by consumer in item order already.
+    const std::size_t num_active = k.items.size();
+    k.opOffsets.assign(num_active + 1, 0);
+    k.operands.clear();
+    for (const ProtoOperand &op : protoOps_) {
+        if (!op.dynamic)
+            continue;
+        k.opOffsets[std::size_t(activeOf_[std::size_t(op.consumer)]) +
+                    1] += 1;
+        k.operands.push_back(
+            {activeOf_[std::size_t(op.srcItem)], op.distance});
+    }
+    for (std::size_t i = 0; i < num_active; ++i)
+        k.opOffsets[i + 1] += k.opOffsets[i];
 
     // ---- Instance rings: recycled, gated by stamps. ----
+    // A value from instance j must survive until its most distant
+    // consumer at j + distance issues, at most maxStage waves
+    // later; the depth leaves the seed's margin of three.
+    const std::int64_t stages =
+        std::max<std::int64_t>(sched.stageCount, k.maxStage + 1);
+    const std::int64_t depth = nextPow2(max_distance + stages + 3);
+    vliw_assert(sched.stageCount + 2 < depth,
+                "stage count exceeds the instance ring");
+    vliw_assert(max_distance + sched.stageCount + 2 < depth,
+                "loop-carried distance exceeds the instance ring");
+    k.ringMask = depth - 1;
     // resize() value-initialises only new slots; stale slots hold
     // stamps from finished runs, which can never match a future
     // instance stamp (stampBase_ is monotonic and starts at 1).
-    k.ring.resize(num_items * std::size_t(kRing));
-    k.loadCls.resize(num_items * std::size_t(kRing));
+    k.ring.resize(num_active * std::size_t(depth));
+    k.loadCls.resize(num_active * std::size_t(depth));
     return handle;
 }
 
@@ -175,18 +261,23 @@ SimWorkspace::run(int kernel, const SimRunParams &params,
                 "bad kernel handle ", kernel);
     vliw_assert(params.iterations >= 0, "negative trip count");
     Kernel &k = *kernels_[std::size_t(kernel)];
+    vliw_assert(k.regBusLatency < 0 ||
+                    k.regBusLatency == cfg.regBusLatency,
+                "kernel prepared for register-bus latency ",
+                k.regBusLatency, ", run with ", cfg.regBusLatency);
     const Ddg &ddg = *k.ddg;
     const Schedule &sched = *k.sched;
     const std::int64_t iterations = params.iterations;
     const Cycles start = params.startCycle;
     const int ii = k.ii;
     const std::int64_t base = stampBase_;
+    const std::size_t num_active = k.items.size();
 
     SimStats stats;
 
     SimRunResult result;
     result.endCycle = start;
-    if (iterations == 0 || k.items.empty()) {
+    if (iterations == 0 || k.numOps + k.numCopies == 0) {
         if (iterations > 0) {
             result.stats.totalCycles =
                 (iterations - 1) * ii + k.length;
@@ -195,12 +286,21 @@ SimWorkspace::run(int kernel, const SimRunParams &params,
         return result;
     }
 
+    // ---- Address cursors of every memory item for this run. ----
+    cursors_.resize(num_active);
+    if (addr.resolver) {
+        for (std::size_t i = 0; i < num_active; ++i) {
+            const HotItem &item = k.items[i];
+            if (item.kind == ItemKind::Load ||
+                item.kind == ItemKind::Store)
+                cursors_[i] =
+                    AddressCursor(addr.resolver->stream(item.node));
+        }
+    }
+
     // ---- Stall-factor attribution (cold path: stalls only). ----
-    auto attribute = [&](int blocker_item, std::int64_t j,
-                         Cycles amount) {
-        const std::size_t slot =
-            std::size_t(blocker_item) * std::size_t(kRing) +
-            std::size_t(j % kRing);
+    auto attribute = [&](std::size_t slot, int blocker_item,
+                         std::int64_t j, Cycles amount) {
         vliw_assert(k.items[std::size_t(blocker_item)].kind ==
                         ItemKind::Load &&
                     k.ring[slot].stamp == base + j,
@@ -228,16 +328,24 @@ SimWorkspace::run(int kernel, const SimRunParams &params,
         }
     };
 
-    // ---- Main loop: instances in nominal issue order, walking
-    // the precomputed wave sequence (see the header comment). ----
+    // ---- Main loop: active instances in nominal issue order,
+    // walking the precomputed wave sequence (see the header). ----
     const HotItem *items = k.items.data();
     const Issue *seq = k.waveSeq.data();
     const std::size_t seq_len = k.waveSeq.size();
     const std::int32_t *op_offsets = k.opOffsets.data();
     const Operand *operands = k.operands.data();
     RingSlot *ring = k.ring.data();
+    std::uint8_t *load_cls = k.loadCls.data();
+    AddressCursor *cursors = cursors_.data();
+    const std::int64_t mask = k.ringMask;
     const Cycles reg_bus_lat = cfg.regBusLatency;
     Cycles offset = 0;
+
+    auto slotOf = [&](std::int64_t iter, int item) {
+        return std::size_t(iter & mask) * num_active +
+            std::size_t(item);
+    };
 
     const std::int64_t waves = iterations + k.maxStage;
     for (std::int64_t w = 0; w < waves; ++w) {
@@ -251,42 +359,38 @@ SimWorkspace::run(int kernel, const SimRunParams &params,
             const HotItem &item = items[pos];
             Cycles t_issue = wave_base + issue.phase + offset;
 
-            // Stall-on-use: wait for every register operand. A
-            // ring slot whose stamp misses is a live-in/unwritten
-            // value, available at cycle 0 exactly like the seed's
-            // zeroed ring.
+            // Stall-on-use: wait for every dynamic operand. A ring
+            // slot whose stamp misses is a live-in/unwritten value,
+            // available at cycle 0 exactly like the seed's zeroed
+            // ring.
             for (std::int32_t o = op_offsets[pos];
                  o < op_offsets[pos + 1]; ++o) {
                 const Operand &op = operands[std::size_t(o)];
                 const std::int64_t j = iter - op.distance;
                 if (j < 0)
                     continue;   // live-in value
-                const RingSlot &src = ring[
-                    std::size_t(op.srcItem) * std::size_t(kRing) +
-                    std::size_t(j % kRing)];
+                const std::size_t src_slot = slotOf(j, op.srcItem);
+                const RingSlot &src = ring[src_slot];
                 const Cycles avail =
                     src.stamp == base + j ? src.ready : 0;
                 if (avail > t_issue) {
                     const Cycles amount = avail - t_issue;
                     offset += amount;
                     stats.stallCycles += amount;
-                    attribute(op.srcItem, j, amount);
+                    attribute(src_slot, op.srcItem, j, amount);
                     t_issue = avail;
                 }
             }
 
-            RingSlot &slot = ring[
-                std::size_t(pos) * std::size_t(kRing) +
-                std::size_t(iter % kRing)];
+            const std::size_t slot_idx = slotOf(iter, pos);
+            RingSlot &slot = ring[slot_idx];
             slot.stamp = base + iter;
 
             switch (item.kind) {
               case ItemKind::Copy:
-                stats.dynamicCopies += 1;
                 slot.ready = t_issue + reg_bus_lat;
                 continue;
               case ItemKind::Compute:
-                stats.dynamicOps += 1;
                 slot.ready = t_issue + item.latOrSize;
                 continue;
               case ItemKind::Load:
@@ -294,10 +398,11 @@ SimWorkspace::run(int kernel, const SimRunParams &params,
                 break;
             }
 
-            stats.dynamicOps += 1;
             MemRequest req;
             req.cluster = item.cluster;
-            req.addr = addr(item.node, iter);
+            req.addr = addr.resolver
+                ? cursors[pos].next(iter)
+                : addr.fn(addr.ctx, item.node, iter);
             req.size = item.latOrSize;
             req.isStore = item.memStore != 0;
             req.issueCycle = t_issue;
@@ -311,9 +416,7 @@ SimWorkspace::run(int kernel, const SimRunParams &params,
 
             if (item.kind == ItemKind::Load) {
                 slot.ready = res.readyCycle;
-                k.loadCls[std::size_t(pos) * std::size_t(kRing) +
-                          std::size_t(iter % kRing)] =
-                    std::uint8_t(res.cls);
+                load_cls[slot_idx] = std::uint8_t(res.cls);
             } else {
                 slot.ready = t_issue + 1;
             }
@@ -321,6 +424,10 @@ SimWorkspace::run(int kernel, const SimRunParams &params,
     }
 
     stampBase_ += iterations;
+
+    // Every item issues exactly once per iteration, active or not.
+    stats.dynamicOps = k.numOps * std::uint64_t(iterations);
+    stats.dynamicCopies = k.numCopies * std::uint64_t(iterations);
 
     result.stats = stats;
     result.stats.totalCycles = (iterations - 1) * ii + k.length +

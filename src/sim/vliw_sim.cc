@@ -14,7 +14,8 @@ simulateLoop(const LoopExecution &loop, MemSystem &mem,
     SimWorkspace &ws = threadSimWorkspace();
     ws.clearKernels();
     const int kernel =
-        ws.prepare(*loop.ddg, *loop.schedule, *loop.latencies);
+        ws.prepare(*loop.ddg, *loop.schedule, *loop.latencies,
+                   cfg.regBusLatency);
 
     SimRunParams params;
     params.profile = loop.profile;

@@ -30,12 +30,15 @@ profileLoop(const Ddg &ddg, AddressResolver &resolver,
     const std::int64_t per_invocation = opts.maxIterations > 0
         ? std::min(iterations, opts.maxIterations) : iterations;
 
+    std::vector<AddressCursor> cursors(mem_nodes.size());
     for (int inv = 0; inv < invocations; ++inv) {
         resolver.setInvocation(inv);
+        for (std::size_t m = 0; m < mem_nodes.size(); ++m)
+            cursors[m] = AddressCursor(resolver.stream(mem_nodes[m]));
         for (std::int64_t i = 0; i < per_invocation; ++i) {
-            for (NodeId v : mem_nodes) {
-                const MemAccessInfo &info = ddg.memInfo(v);
-                const std::uint64_t addr = resolver.addressOf(v, i);
+            for (std::size_t m = 0; m < mem_nodes.size(); ++m) {
+                const NodeId v = mem_nodes[m];
+                const std::uint64_t addr = cursors[m].next(i);
                 const std::uint64_t block =
                     addr / std::uint64_t(cfg.blockBytes);
 
@@ -49,7 +52,6 @@ profileLoop(const Ddg &ddg, AddressResolver &resolver,
                 } else {
                     tags.insert(block);
                 }
-                (void)info;
             }
         }
     }

@@ -12,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <thread>
 
 #include "api/api.hh"
 #include "engine/report.hh"
@@ -387,6 +389,88 @@ TEST(Session, CompileServesInspectionArtifacts)
     auto res = session.run(req);
     ASSERT_TRUE(res.ok());
     EXPECT_GE(session.cacheStats().hits, 1u);
+}
+
+// ---- registration racing submission ----
+
+/** A tiny .wvl workload named @p name. */
+std::string
+wvlKernel(const std::string &name)
+{
+    return "benchmark " + name + " {\n"
+           "  symbol src size 1024\n"
+           "  loop l trip 16 {\n"
+           "    x = load src gran 4 stride 4\n"
+           "    a = intalu from x\n"
+           "  }\n"
+           "}\n";
+}
+
+TEST(Session, RegisterWhileOthersSubmitAndList)
+{
+    // The daemon's shape: one connection registers workloads while
+    // the others resolve requests and list names on the same
+    // Session. Race-free under the registry lock (this suite runs
+    // in the ThreadSanitizer CI leg), and every outcome is exact.
+    SessionOptions so;
+    so.jobs = 2;
+    so.builtinWorkloads = false;
+    Session session(so);
+    ASSERT_TRUE(session.registerWorkloadText("", wvlKernel("seed"))
+                    .ok());
+
+    constexpr int kRegistrations = 24;
+    std::thread registrar([&] {
+        for (int i = 0; i < kRegistrations; ++i) {
+            const std::string name = "wire" + std::to_string(i);
+            auto res = session.registerWorkloadText(
+                "", wvlKernel(name), "wire", "<wire>");
+            ASSERT_TRUE(res.ok()) << res.status().message();
+            EXPECT_EQ(res.value(), std::vector<std::string>{name});
+        }
+    });
+    std::vector<std::thread> clients;
+    for (int c = 0; c < 3; ++c) {
+        clients.emplace_back([&, c] {
+            for (int i = 0; i < 8; ++i) {
+                RunRequest req;
+                req.workload = c == 0 ? "seed" : "wire" +
+                    std::to_string((c * 8 + i) % kRegistrations);
+                req.arch = "interleaved";
+                auto res = session.submit(req).take();
+                // A name not registered yet is a clean NotFound.
+                if (!res.ok()) {
+                    EXPECT_EQ(res.status().code(),
+                              StatusCode::NotFound)
+                        << res.status().message();
+                }
+                if (c == 0) {
+                    ASSERT_TRUE(res.ok()) << res.status().message();
+                    EXPECT_GT(res.value().run().total.totalCycles, 0);
+                }
+                const std::vector<std::string> names =
+                    session.registeredNames(
+                        api::RegistryAxis::Workloads);
+                EXPECT_NE(std::find(names.begin(), names.end(),
+                                    "seed"),
+                          names.end());
+            }
+        });
+    }
+    registrar.join();
+    for (std::thread &t : clients)
+        t.join();
+
+    const std::vector<std::string> names =
+        session.registeredNames(api::RegistryAxis::Workloads);
+    ASSERT_EQ(names.size(), std::size_t(kRegistrations + 1));
+    for (int i = 0; i < kRegistrations; ++i)
+        EXPECT_EQ(names[std::size_t(i) + 1],
+                  "wire" + std::to_string(i));
+    RunRequest last;
+    last.workload = "wire" + std::to_string(kRegistrations - 1);
+    last.arch = "interleaved";
+    EXPECT_TRUE(session.run(last).ok());
 }
 
 } // namespace

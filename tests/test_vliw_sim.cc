@@ -1,14 +1,23 @@
 /**
  * @file
  * Tests for the lock-step VLIW core simulator: exact cycle counts,
- * stall-on-use semantics, copy timing, and stall attribution. A stub
- * memory system gives full control over access outcomes.
+ * stall-on-use semantics, copy timing, stall attribution, and the
+ * invariants of the workspace kernel (only loads may stall, sized
+ * instance rings, cursor-stepped addresses). A stub memory system
+ * gives full control over access outcomes.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "core/toolchain.hh"
 #include "mem/mem_system.hh"
+#include "sim/sim_workspace.hh"
 #include "sim/vliw_sim.hh"
+#include "workloads/address_gen.hh"
+#include "workloads/dataset.hh"
+#include "workloads/mediabench.hh"
 
 namespace vliw {
 namespace {
@@ -345,6 +354,176 @@ TEST(VliwSim, ZeroIterationsIsEmpty)
     const auto result = simulateLoop(loop.exec(0), mem, cfg);
     EXPECT_EQ(result.stats.totalCycles, 0);
     EXPECT_EQ(result.endCycle, 0);
+}
+
+TEST(VliwSim, ComputeConsumerTooCloseStillPanics)
+{
+    // A hand-built schedule that places a consumer one cycle after a
+    // 3-cycle compute producer cannot be proved stall-free, so the
+    // operand stays in the walk and the only-loads-stall check fires.
+    const MachineConfig cfg = MachineConfig::paperInterleaved();
+    StubMem mem;
+
+    Ddg g;
+    const NodeId mul = g.addNode(OpKind::IntAlu, "mul");
+    const NodeId add = g.addNode(OpKind::IntAlu, "add");
+    g.addEdge(mul, add, DepKind::RegFlow, 0);
+
+    Schedule s;
+    s.ii = 4;
+    s.ops.assign(2, PlacedOp{});
+    s.ops[std::size_t(mul)] = {0, 0};
+    s.ops[std::size_t(add)] = {1, 0};
+    s.length = 2;
+    s.stageCount = 1;
+
+    LatencyMap lat(g, 1);
+    lat.set(mul, 3);
+    LoopExecution e;
+    e.ddg = &g;
+    e.schedule = &s;
+    e.latencies = &lat;
+    e.iterations = 4;
+    e.addressOf = [](NodeId, std::int64_t) { return 0; };
+    try {
+        simulateLoop(e, mem, cfg);
+        FAIL() << "a stall on a compute value went unnoticed";
+    } catch (const std::logic_error &err) {
+        EXPECT_NE(std::string(err.what())
+                      .find("stall blocked by a non-load value"),
+                  std::string::npos)
+            << err.what();
+    }
+}
+
+TEST(VliwSim, LongRecurrenceWrapsTheRingExactly)
+{
+    // ld feeds add at distance 40, II 1, memory latency 45: add(i)
+    // waits for ld(i - 40), issued 40 waves earlier, i.e. 5 cycles
+    // late unless the offset has grown since. ld and add share a
+    // cycle and ld issues first, so a stall at wave s reaches every
+    // load from s + 1 on, and the next stall is add(s + 41), the
+    // first consumer of such a load. Stalls of 5 thus land at waves
+    // 40 + 41k: 24 of them in 1000 iterations. The ring holds 64
+    // iterations, so it wraps 15 times; a ring too shallow for the
+    // distance would lose the stamps and report no stall at all.
+    const MachineConfig cfg = MachineConfig::paperInterleaved();
+    StubMem mem;
+    mem.latency = 45;
+
+    Ddg g;
+    const NodeId ld = g.addMemNode(OpKind::Load, loadInfo(), "ld");
+    const NodeId add = g.addNode(OpKind::IntAlu, "add");
+    g.addEdge(ld, add, DepKind::RegFlow, 40);
+
+    Schedule s;
+    s.ii = 1;
+    s.ops.assign(2, PlacedOp{});
+    s.ops[std::size_t(ld)] = {0, 0};
+    s.ops[std::size_t(add)] = {0, 0};
+    s.length = 1;
+    s.stageCount = 1;
+
+    const LatencyMap lat(g, 1);
+    LoopExecution e;
+    e.ddg = &g;
+    e.schedule = &s;
+    e.latencies = &lat;
+    e.iterations = 1000;
+    e.addressOf = [](NodeId, std::int64_t i) {
+        return std::uint64_t(i) * 4;
+    };
+    const auto result = simulateLoop(e, mem, cfg);
+    EXPECT_EQ(result.stats.stallCycles, 24 * 5);
+    EXPECT_EQ(result.stats.stallByClass[std::size_t(
+                  AccessClass::LocalHit)], 24 * 5);
+    EXPECT_EQ(result.stats.totalCycles, 999 * 1 + 1 + 24 * 5);
+    EXPECT_EQ(result.stats.dynamicOps, 2000u);
+    EXPECT_EQ(result.stats.memAccesses, 1000u);
+}
+
+void
+expectSameStats(const SimStats &a, const SimStats &b,
+                const std::string &where)
+{
+    EXPECT_EQ(a.totalCycles, b.totalCycles) << where;
+    EXPECT_EQ(a.stallCycles, b.stallCycles) << where;
+    EXPECT_EQ(a.accessesByClass, b.accessesByClass) << where;
+    EXPECT_EQ(a.stallByClass, b.stallByClass) << where;
+    EXPECT_EQ(a.remoteHitFactors.multiCluster,
+              b.remoteHitFactors.multiCluster) << where;
+    EXPECT_EQ(a.remoteHitFactors.unclearPreferred,
+              b.remoteHitFactors.unclearPreferred) << where;
+    EXPECT_EQ(a.remoteHitFactors.notInPreferred,
+              b.remoteHitFactors.notInPreferred) << where;
+    EXPECT_EQ(a.remoteHitFactors.granularity,
+              b.remoteHitFactors.granularity) << where;
+    EXPECT_EQ(a.dynamicOps, b.dynamicOps) << where;
+    EXPECT_EQ(a.dynamicCopies, b.dynamicCopies) << where;
+    EXPECT_EQ(a.memAccesses, b.memAccesses) << where;
+    EXPECT_EQ(a.abHits, b.abHits) << where;
+}
+
+TEST(VliwSim, CallbackAndResolverStreamsAgree)
+{
+    // The same compiled loops and addresses, once through an
+    // arbitrary AddressFn (simulateLoop, one call per access) and
+    // once through the resolver's cursor-stepped streams: every
+    // statistic must match, across invocations (base drift) and on
+    // real cache models.
+    const MachineConfig cfg = MachineConfig::paperInterleavedAb();
+    const Toolchain chain(cfg, ToolchainOptions{});
+    for (const char *name :
+         {"epicenc", "gsmdec", "jpegdec", "pgpdec"}) {
+        const BenchmarkSpec bench = makeBenchmark(name);
+        const CompiledBenchmark compiled =
+            chain.compileBenchmark(bench);
+        const DataSet ds = makeDataSet(bench, cfg, 77, true);
+        auto streamed_mem = makeMemSystem(cfg);
+        auto called_mem = makeMemSystem(cfg);
+        SimWorkspace ws;
+        for (std::size_t li = 0; li < compiled.loops.size(); ++li) {
+            const CompiledLoop &loop = compiled.loops[li].primary;
+            AddressResolver addr(loop.ddg, bench, ds);
+            const int kernel =
+                ws.prepare(loop.ddg, loop.sched.schedule,
+                           loop.latency.latencies, cfg.regBusLatency);
+            Cycles clock = 0;
+            for (int inv = 0; inv < loop.invocations; ++inv) {
+                addr.setInvocation(inv);
+                SimRunParams params;
+                params.profile = &loop.profile;
+                params.iterations = loop.kernelIterations;
+                params.startCycle = clock;
+                const SimRunResult streamed =
+                    ws.run(kernel, params, AddressSource::of(addr),
+                           *streamed_mem, cfg);
+
+                LoopExecution e;
+                e.ddg = &loop.ddg;
+                e.schedule = &loop.sched.schedule;
+                e.latencies = &loop.latency.latencies;
+                e.profile = &loop.profile;
+                e.iterations = loop.kernelIterations;
+                e.startCycle = clock;
+                e.addressOf = [&](NodeId v, std::int64_t i) {
+                    return addr.addressOf(v, i);
+                };
+                const LoopSimResult called =
+                    simulateLoop(e, *called_mem, cfg);
+
+                const std::string where = std::string(name) +
+                    " loop " + std::to_string(li) + " inv " +
+                    std::to_string(inv);
+                expectSameStats(streamed.stats, called.stats, where);
+                EXPECT_EQ(streamed.endCycle, called.endCycle)
+                    << where;
+                clock = streamed.endCycle;
+                streamed_mem->loopBoundary();
+                called_mem->loopBoundary();
+            }
+        }
+    }
 }
 
 } // namespace

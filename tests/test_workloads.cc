@@ -10,6 +10,8 @@
 #include "ddg/chains.hh"
 #include "sched/unroll_policy.hh"
 #include "ddg/unroll.hh"
+#include "support/math_util.hh"
+#include "support/random.hh"
 #include "workloads/address_gen.hh"
 #include "workloads/dataset.hh"
 #include "workloads/kernels.hh"
@@ -139,6 +141,65 @@ TEST(AddressResolver, UnrolledPhasesInterleave)
         for (std::int64_t i = 0; i < 8; ++i) {
             EXPECT_EQ(cfg.homeCluster(addr.addressOf(v, i)),
                       phase);
+        }
+    }
+}
+
+TEST(AddressResolver, CursorStepsMatchAddressOf)
+{
+    // Seeded kernels over small symbols: a stepped AddressCursor
+    // must reproduce addressOf() at every iteration, and addressOf()
+    // the closed-form direct formula, whatever the stride's sign,
+    // |unrollFactor * stride| against the symbol size, the unroll
+    // phase and the per-invocation drift.
+    const MachineConfig cfg = MachineConfig::paperInterleaved();
+    const BenchmarkSpec b = tinyBench();
+    Rng rng(0x5eed1e55);
+    for (int trial = 0; trial < 4; ++trial) {
+        KernelBuilder kb("walk");
+        // Fixed corner cases, then random direct and indirect ops.
+        (void)kb.load(0, 4, -12, {.offset = 40,
+                                  .invocationStride = -28});
+        (void)kb.load(1, 2, 1500, {.offset = -7,
+                                   .invocationStride = 300});
+        for (int op = 0; op < 3; ++op) {
+            const MemOpts opts = {
+                .offset = rng.nextRange(-4096, 4096),
+                .invocationStride = rng.nextRange(-600, 600)};
+            (void)kb.load(SymbolId(rng.nextBelow(3)),
+                          1 << rng.nextBelow(4),
+                          rng.nextRange(-2048, 2048), opts);
+        }
+        (void)kb.load(2, 4, 4, {.indirect = true, .indexRange = 96,
+                                .invocationStride = 16});
+        const LoopSpec loop = kb.take(64, 3);
+        const int factor = 2 + int(rng.nextBelow(3));
+        const Ddg u = unrollDdg(loop.body, factor);
+        const DataSet ds = makeDataSet(b, cfg, rng.next(), true);
+        AddressResolver addr(u, b, ds);
+
+        for (int inv = 0; inv < 3; ++inv) {
+            addr.setInvocation(inv);
+            for (NodeId v : u.memNodes()) {
+                const MemAccessInfo &info = u.memInfo(v);
+                const std::size_t sym = std::size_t(info.symbol);
+                AddressCursor cursor(addr.stream(v));
+                for (std::int64_t i = 0; i < 10000; ++i) {
+                    const std::uint64_t a = addr.addressOf(v, i);
+                    ASSERT_EQ(cursor.next(i), a)
+                        << "trial " << trial << " node " << v
+                        << " inv " << inv << " iter " << i;
+                    if (info.indirect)
+                        continue;
+                    const std::int64_t linear = info.offset +
+                        (i * info.unrollFactor + info.unrollPhase) *
+                            info.stride +
+                        inv * info.invocationStride;
+                    ASSERT_EQ(a, ds.symbolBase[sym] +
+                                     std::uint64_t(positiveMod(
+                                         linear, ds.wrapSize[sym])));
+                }
+            }
         }
     }
 }

@@ -691,12 +691,13 @@ class Connection
     void
     handleListNames(const std::string &op)
     {
-        const api::Registries &reg = session_.registries();
-        const std::vector<std::string> &names =
-            op == "list-archs"        ? reg.archs.names()
-            : op == "list-heuristics" ? reg.schedulers.names()
-            : op == "list-unrolls"    ? reg.unrolls.names()
-                                      : reg.workloads.names();
+        // A copy taken under the registry lock: another connection
+        // may be registering a workload right now.
+        const std::vector<std::string> names = session_.registeredNames(
+            op == "list-archs"        ? api::RegistryAxis::Archs
+            : op == "list-heuristics" ? api::RegistryAxis::Schedulers
+            : op == "list-unrolls"    ? api::RegistryAxis::Unrolls
+                                      : api::RegistryAxis::Workloads);
         std::ostringstream os;
         os << "{\"ok\":true,\"op\":\"" << op << "\",\"names\":[";
         for (std::size_t i = 0; i < names.size(); ++i)
