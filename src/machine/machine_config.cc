@@ -50,13 +50,6 @@ MachineConfig::abSets() const
     return abEntries / abWays;
 }
 
-int
-MachineConfig::homeCluster(std::uint64_t addr) const
-{
-    return int((addr / std::uint64_t(interleaveBytes)) %
-               std::uint64_t(numClusters));
-}
-
 std::string
 MachineConfig::check() const
 {

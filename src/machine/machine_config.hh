@@ -8,6 +8,7 @@
 #ifndef WIVLIW_MACHINE_MACHINE_CONFIG_HH
 #define WIVLIW_MACHINE_MACHINE_CONFIG_HH
 
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -120,8 +121,17 @@ struct MachineConfig
     int abSets() const;
     /** N x I: the cluster-mapping period in bytes. */
     int mappingPeriod() const { return numClusters * interleaveBytes; }
-    /** Cluster owning byte address @p addr under word interleaving. */
-    int homeCluster(std::uint64_t addr) const;
+    /**
+     * Cluster owning byte address @p addr under word interleaving.
+     * validate() makes interleaveBytes and numClusters powers of
+     * two, so the word index is a shift and the cluster a mask.
+     */
+    int
+    homeCluster(std::uint64_t addr) const
+    {
+        const int shift = std::countr_zero(unsigned(interleaveBytes));
+        return int((addr >> shift) & std::uint64_t(numClusters - 1));
+    }
     /// @}
 
     /**

@@ -12,41 +12,10 @@ AttractionBuffer::AttractionBuffer(int entries, int ways,
                 "attraction buffer entries not divisible by ways");
 }
 
-std::uint64_t
-AttractionBuffer::key(std::uint64_t block, int home) const
-{
-    return block * std::uint64_t(numClusters_) + std::uint64_t(home);
-}
-
-bool
-AttractionBuffer::lookup(std::uint64_t block, int home_cluster)
-{
-    return tags_.touch(key(block, home_cluster)) != TagArray::kNoLine;
-}
-
 bool
 AttractionBuffer::contains(std::uint64_t block, int home_cluster) const
 {
     return tags_.probe(key(block, home_cluster)) != TagArray::kNoLine;
-}
-
-void
-AttractionBuffer::install(std::uint64_t block, int home_cluster)
-{
-    const std::uint64_t k = key(block, home_cluster);
-    if (tags_.probe(k) != TagArray::kNoLine)
-        return;
-    bool evicted = false;
-    tags_.insert(k, nullptr, &evicted);
-    installs_ += 1;
-    if (evicted)
-        evictions_ += 1;
-}
-
-void
-AttractionBuffer::invalidate(std::uint64_t block, int home_cluster)
-{
-    tags_.invalidate(key(block, home_cluster));
 }
 
 void

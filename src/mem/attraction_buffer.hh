@@ -28,17 +28,29 @@ class AttractionBuffer
      */
     AttractionBuffer(int entries, int ways, int num_clusters);
 
-    /** True and LRU-touched if the subblock is present. */
-    bool lookup(std::uint64_t block, int home_cluster);
+    /**
+     * One walk of the subblock's set: on a hit, set @p hit and
+     * LRU-touch it; on a miss, return the line fill() would claim.
+     */
+    int
+    lookup(std::uint64_t block, int home_cluster, bool &hit)
+    {
+        return tags_.lookup(key(block, home_cluster), hit);
+    }
+
+    /** Install a subblock at @p line, which a missed lookup() of it
+     *  returned with no install since. */
+    void
+    fill(int line, std::uint64_t block, int home_cluster)
+    {
+        installs_ += 1;
+        if (tags_.lineValid(line))
+            evictions_ += 1;
+        tags_.fill(line, key(block, home_cluster));
+    }
 
     /** Present, without updating LRU. */
     bool contains(std::uint64_t block, int home_cluster) const;
-
-    /** Install a subblock, evicting LRU if needed. */
-    void install(std::uint64_t block, int home_cluster);
-
-    /** Drop one subblock (e.g. invalidation on write policy). */
-    void invalidate(std::uint64_t block, int home_cluster);
 
     /** Loop-boundary flush. */
     void flush();
@@ -51,7 +63,11 @@ class AttractionBuffer
     Counter flushes() const { return flushes_; }
 
   private:
-    std::uint64_t key(std::uint64_t block, int home) const;
+    std::uint64_t
+    key(std::uint64_t block, int home) const
+    {
+        return block * std::uint64_t(numClusters_) + std::uint64_t(home);
+    }
 
     TagArray tags_;
     int numClusters_;

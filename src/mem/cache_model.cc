@@ -6,11 +6,10 @@ namespace vliw {
 
 CacheModel::CacheModel(const MachineConfig &cfg)
     : cfg_(cfg),
-      nlPorts_(cfg.nextLevelPorts, cfg.memBusOccupancy),
-      blockShift_(isPowerOfTwo(std::uint64_t(cfg.blockBytes))
-                      ? floorLog2(std::uint64_t(cfg.blockBytes))
-                      : -1)
+      nlPorts_(cfg.nextLevelPorts, cfg.memBusOccupancy)
 {
+    cfg_.validate();
+    blockShift_ = floorLog2(std::uint64_t(cfg_.blockBytes));
 }
 
 void

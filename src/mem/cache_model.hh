@@ -33,6 +33,8 @@ class CacheModel : public MemSystem
     void resetAll() final;
 
   protected:
+    /** Validates @p cfg, so every block size, interleaving factor
+     *  and cluster count the models see is a power of two. */
     explicit CacheModel(const MachineConfig &cfg);
 
     /**
@@ -46,11 +48,7 @@ class CacheModel : public MemSystem
     std::uint64_t
     blockOf(std::uint64_t addr) const
     {
-        // Power-of-two block sizes (every paper configuration) take
-        // the shift; the division is the general fallback.
-        return blockShift_ >= 0
-            ? addr >> blockShift_
-            : addr / std::uint64_t(cfg_.blockBytes);
+        return addr >> blockShift_;
     }
 
     /**
@@ -98,8 +96,8 @@ class CacheModel : public MemSystem
     PendingTable pendingFills_;
 
   private:
-    /** log2(blockBytes), or -1 when it is not a power of two. */
-    int blockShift_ = -1;
+    /** log2(blockBytes); validate() makes it a power of two. */
+    int blockShift_ = 0;
 };
 
 } // namespace vliw

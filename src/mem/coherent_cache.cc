@@ -6,41 +6,44 @@ namespace vliw {
 
 CoherentCache::CoherentCache(const MachineConfig &cfg)
     : CacheModel(cfg),
+      numClusters_(cfg.numClusters),
+      ways_(cfg.cacheWays),
+      setOf_(cfg.coherentModuleSets()),
       memBuses_(cfg.memBuses, cfg.memBusOccupancy)
 {
     vliw_assert(cfg.cacheOrg == CacheOrg::MultiVliw,
                 "CoherentCache built from a non-multiVLIW config");
-    modules_.reserve(std::size_t(cfg.numClusters));
-    for (int c = 0; c < cfg.numClusters; ++c)
-        modules_.emplace_back(cfg.coherentModuleSets(), cfg.cacheWays);
+    vliw_assert(setOf_.sets() > 0, "multiVLIW module without sets");
+    dir_.resize(std::size_t(setOf_.sets()) * std::size_t(numClusters_) *
+                std::size_t(ways_));
 }
 
 CoherentCache::Msi
 CoherentCache::stateOf(int cluster, std::uint64_t block) const
 {
-    const Module &m = modules_[std::size_t(cluster)];
-    const int line = m.tags.probe(block);
-    if (line == TagArray::kNoLine)
-        return Msi::Invalid;
-    return m.state[std::size_t(line)];
+    const std::size_t first = moduleFirst(block, cluster);
+    for (std::size_t w = first; w < first + std::size_t(ways_); ++w) {
+        if (dir_[w].holds(block))
+            return dir_[w].state;
+    }
+    return Msi::Invalid;
 }
 
 bool
 CoherentCache::coherenceInvariantHolds() const
 {
-    // Collect every block present anywhere and check the M-exclusion
-    // invariant block by block.
-    for (int c = 0; c < cfg_.numClusters; ++c) {
-        const Module &m = modules_[std::size_t(c)];
-        const int lines = m.tags.sets() * m.tags.ways();
-        for (int line = 0; line < lines; ++line) {
-            if (!m.tags.lineValid(line))
+    // A block lives in the same set of every module, so the
+    // M-exclusion check is local to one set's run of the directory.
+    const std::size_t per_module = std::size_t(ways_);
+    const std::size_t per_set = per_module * std::size_t(numClusters_);
+    for (std::size_t set = 0; set < dir_.size(); set += per_set) {
+        for (std::size_t i = set; i < set + per_set; ++i) {
+            if (dir_[i].state != Msi::Modified)
                 continue;
-            if (m.state[std::size_t(line)] != Msi::Modified)
-                continue;
-            const std::uint64_t block = m.tags.keyOf(line);
-            for (int o = 0; o < cfg_.numClusters; ++o) {
-                if (o != c && stateOf(o, block) != Msi::Invalid)
+            const std::size_t module = (i - set) / per_module;
+            for (std::size_t j = set; j < set + per_set; ++j) {
+                if ((j - set) / per_module != module &&
+                    dir_[j].holds(dir_[i].key))
                     return false;
             }
         }
@@ -48,49 +51,79 @@ CoherentCache::coherenceInvariantHolds() const
     return true;
 }
 
-void
-CoherentCache::install(int cluster, std::uint64_t block, Msi st,
-                       Cycles t)
+std::size_t
+CoherentCache::walkModule(std::size_t first, std::uint64_t block,
+                          bool &hit)
 {
-    Module &m = modules_[std::size_t(cluster)];
-    vliw_assert(m.tags.probe(block) == TagArray::kNoLine,
-                "install of a block already present");
-    // A Modified victim is written back through the buffer: off the
-    // critical path but it does occupy a next-level port.
-    const int victim = m.tags.victimOf(block);
-    if (m.tags.lineValid(victim) &&
-        m.state[std::size_t(victim)] == Msi::Modified) {
-        writebackVictim(t);
-    }
-    const int line = m.tags.insert(block);
-    m.state[std::size_t(line)] = st;
-}
-
-int
-CoherentCache::findOtherHolder(int cluster, std::uint64_t block) const
-{
-    for (int c = 0; c < cfg_.numClusters; ++c) {
-        if (c == cluster)
-            continue;
-        if (stateOf(c, block) != Msi::Invalid)
-            return c;
-    }
-    return -1;
-}
-
-void
-CoherentCache::invalidateOthers(int cluster, std::uint64_t block)
-{
-    for (int c = 0; c < cfg_.numClusters; ++c) {
-        if (c == cluster)
-            continue;
-        Module &m = modules_[std::size_t(c)];
-        const int line = m.tags.probe(block);
-        if (line != TagArray::kNoLine) {
-            m.state[std::size_t(line)] = Msi::Invalid;
-            m.tags.invalidateLine(line);
+    const std::size_t end = first + std::size_t(ways_);
+    std::size_t invalid = end;
+    std::size_t victim = first;
+    for (std::size_t w = first; w < end; ++w) {
+        Way &way = dir_[w];
+        if (way.state == Msi::Invalid) {
+            if (invalid == end)
+                invalid = w;
+        } else if (way.key == block) {
+            hit = true;
+            way.lastUse = ++useCounter_;
+            return w;
+        } else if (way.lastUse < dir_[victim].lastUse) {
+            victim = w;
         }
     }
+    hit = false;
+    return invalid != end ? invalid : victim;
+}
+
+void
+CoherentCache::install(std::size_t way, int cluster,
+                       std::uint64_t block, Msi st, Cycles t)
+{
+    const std::size_t first = moduleFirst(block, cluster);
+    vliw_assert(way >= first && way < first + std::size_t(ways_),
+                "install outside the module's set");
+    vliw_assert(st != Msi::Invalid, "install in the Invalid state");
+    Way &w = dir_[way];
+    // A Modified victim is written back through the buffer: off the
+    // critical path but it does occupy a next-level port.
+    if (w.state == Msi::Modified)
+        writebackVictim(t);
+    w.key = block;
+    w.lastUse = ++useCounter_;
+    w.state = st;
+}
+
+CoherentCache::Way *
+CoherentCache::snoop(int cluster, std::uint64_t block)
+{
+    const std::size_t set = moduleFirst(block, 0);
+    const std::size_t own = set + std::size_t(cluster * ways_);
+    const std::size_t end = set + std::size_t(numClusters_ * ways_);
+    for (std::size_t w = set; w < end; ++w) {
+        if (w - own < std::size_t(ways_))   // the own module
+            continue;
+        if (dir_[w].holds(block))
+            return &dir_[w];
+    }
+    return nullptr;
+}
+
+bool
+CoherentCache::invalidateOthers(int cluster, std::uint64_t block)
+{
+    const std::size_t set = moduleFirst(block, 0);
+    const std::size_t own = set + std::size_t(cluster * ways_);
+    const std::size_t end = set + std::size_t(numClusters_ * ways_);
+    bool held = false;
+    for (std::size_t w = set; w < end; ++w) {
+        if (w - own < std::size_t(ways_))   // the own module
+            continue;
+        if (dir_[w].holds(block)) {
+            dir_[w].state = Msi::Invalid;
+            held = true;
+        }
+    }
+    return held;
 }
 
 MemAccessResult
@@ -100,15 +133,15 @@ CoherentCache::access(const MemRequest &req)
     const std::uint64_t block = blockOf(req.addr);
     /** Combining key: block * numClusters + cluster. */
     const std::uint64_t fill_key =
-        block * std::uint64_t(cfg_.numClusters) +
-        std::uint64_t(req.cluster);
+        block * std::uint64_t(numClusters_) + std::uint64_t(req.cluster);
 
-    Module &own = modules_[std::size_t(req.cluster)];
     MemAccessResult res;
 
-    const int line = own.tags.touch(block);
-    const Msi st = line == TagArray::kNoLine
-        ? Msi::Invalid : own.state[std::size_t(line)];
+    // One walk of the own module: the hit way, or the install victim.
+    bool hit = false;
+    const std::size_t way =
+        walkModule(moduleFirst(block, req.cluster), block, hit);
+    const Msi st = hit ? dir_[way].state : Msi::Invalid;
 
     if (!req.isStore) {
         if (const Cycles *fill = pendingFills_.find(fill_key, t)) {
@@ -129,15 +162,12 @@ CoherentCache::access(const MemRequest &req)
         const Cycles wait_bus = busAcquire(memBuses_, t);
         res.referencedRemote = true;
 
-        const int holder = findOtherHolder(req.cluster, block);
-        if (holder >= 0) {
+        if (Way *sup = snoop(req.cluster, block)) {
             // Cache-to-cache transfer; a Modified supplier writes
             // the line back while downgrading to Shared.
-            Module &sup = modules_[std::size_t(holder)];
-            const int sup_line = sup.tags.probe(block);
-            if (sup.state[std::size_t(sup_line)] == Msi::Modified)
+            if (sup->state == Msi::Modified)
                 writebackVictim(t);
-            sup.state[std::size_t(sup_line)] = Msi::Shared;
+            sup->state = Msi::Shared;
             res.cls = AccessClass::RemoteHit;
             res.readyCycle = t + cfg_.latCacheToCache + wait_bus;
         } else {
@@ -148,7 +178,7 @@ CoherentCache::access(const MemRequest &req)
                 cfg_.latNextLevel + wait_bus + wait_nl;
         }
         pendingFills_.set(fill_key, res.readyCycle, t);
-        install(req.cluster, block, Msi::Shared, t);
+        install(way, req.cluster, block, Msi::Shared, t);
         stats_.record(res.cls, false);
         return res;
     }
@@ -172,20 +202,18 @@ CoherentCache::access(const MemRequest &req)
         // store itself completes locally.
         busAcquire(memBuses_, t);
         invalidateOthers(req.cluster, block);
-        own.state[std::size_t(line)] = Msi::Modified;
+        dir_[way].state = Msi::Modified;
         res.cls = AccessClass::LocalHit;
         res.readyCycle = t + cfg_.latCoherentHit;
         stats_.record(res.cls, true);
         return res;
     }
 
-    // Write miss.
+    // Write miss: any other copy supplies the line and is invalidated.
     const Cycles wait_bus = busAcquire(memBuses_, t);
     res.referencedRemote = true;
 
-    const int holder = findOtherHolder(req.cluster, block);
-    if (holder >= 0) {
-        invalidateOthers(req.cluster, block);
+    if (invalidateOthers(req.cluster, block)) {
         res.cls = AccessClass::RemoteHit;
         res.readyCycle = t + cfg_.latCacheToCache + wait_bus;
     } else {
@@ -196,7 +224,7 @@ CoherentCache::access(const MemRequest &req)
             cfg_.latNextLevel + wait_bus + wait_nl;
     }
     pendingFills_.set(fill_key, res.readyCycle, t);
-    install(req.cluster, block, Msi::Modified, t);
+    install(way, req.cluster, block, Msi::Modified, t);
     stats_.record(res.cls, true);
     return res;
 }
@@ -204,22 +232,17 @@ CoherentCache::access(const MemRequest &req)
 void
 CoherentCache::invalidateAll()
 {
-    for (Module &m : modules_) {
-        m.tags.clear();
-        for (Msi &s : m.state)
-            s = Msi::Invalid;
-    }
+    for (Way &w : dir_)
+        w.state = Msi::Invalid;
     pendingFills_.clear();
 }
 
 void
 CoherentCache::resetModel()
 {
-    for (Module &m : modules_) {
-        m.tags.reset();
-        for (Msi &s : m.state)
-            s = Msi::Invalid;
-    }
+    for (Way &w : dir_)
+        w = Way{};
+    useCounter_ = 0;
     memBuses_.reset();
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "support/logging.hh"
-#include "support/math_util.hh"
 
 namespace vliw {
 
@@ -14,12 +13,6 @@ InterleavedCache::InterleavedCache(const MachineConfig &cfg)
 {
     vliw_assert(cfg.cacheOrg == CacheOrg::Interleaved,
                 "InterleavedCache built from a non-interleaved config");
-    if (isPowerOfTwo(std::uint64_t(cfg.interleaveBytes)) &&
-        isPowerOfTwo(std::uint64_t(cfg.numClusters))) {
-        interleaveShift_ =
-            floorLog2(std::uint64_t(cfg.interleaveBytes));
-        clusterMask_ = std::uint64_t(cfg.numClusters) - 1;
-    }
     if (cfg_.attractionBuffers) {
         abs_.reserve(std::size_t(cfg_.numClusters));
         for (int c = 0; c < cfg_.numClusters; ++c) {
@@ -27,25 +20,6 @@ InterleavedCache::InterleavedCache(const MachineConfig &cfg)
                               cfg_.numClusters);
         }
     }
-}
-
-int
-InterleavedCache::homeOf(std::uint64_t addr) const
-{
-    // Power-of-two interleaving and cluster counts (every paper
-    // configuration) turn the division/modulo into shift/mask.
-    if (interleaveShift_ >= 0)
-        return int((addr >> interleaveShift_) & clusterMask_);
-    return cfg_.homeCluster(addr);
-}
-
-bool
-InterleavedCache::isLocal(const MemRequest &req) const
-{
-    // Elements wider than the interleaving factor always span
-    // several modules and therefore count as remote (Section 5.2).
-    return req.size <= cfg_.interleaveBytes &&
-        homeOf(req.addr) == req.cluster;
 }
 
 AccessClass
@@ -69,9 +43,9 @@ InterleavedCache::access(const MemRequest &req)
 {
     vliw_assert(req.cluster >= 0 && req.cluster < cfg_.numClusters,
                 "bad cluster id ", req.cluster);
-    vliw_assert((req.addr % std::uint64_t(cfg_.blockBytes)) +
-                std::uint64_t(req.size) <=
-                std::uint64_t(cfg_.blockBytes),
+    const std::uint64_t block_bytes = std::uint64_t(cfg_.blockBytes);
+    vliw_assert((req.addr & (block_bytes - 1)) +
+                std::uint64_t(req.size) <= block_bytes,
                 "access crosses a cache-block boundary");
 
     const Cycles t = req.issueCycle;
@@ -92,8 +66,9 @@ InterleavedCache::access(const MemRequest &req)
     MemAccessResult res;
     res.referencedRemote = !local;
 
-    const int line = tags_.touch(block);
-    const bool hit = line != TagArray::kNoLine;
+    // One tag walk: the hit line, or the line a miss fills.
+    bool hit = false;
+    const int line = tags_.lookup(block, hit);
     if (req.isStore && hit)
         tags_.markDirty(line);
 
@@ -113,11 +88,11 @@ InterleavedCache::access(const MemRequest &req)
             res.cls = AccessClass::LocalMiss;
             res.readyCycle = t + cfg_.latLocalMiss + wait;
             pendingFills_.set(block, res.readyCycle, t);
-            const int filled = tags_.insert(block);
+            tags_.fill(line, block);
             if (tags_.lastEvictionWasDirty())
                 writebackVictim(res.readyCycle);
             if (req.isStore)
-                tags_.markDirty(filled);
+                tags_.markDirty(line);
         }
         stats_.record(res.cls, req.isStore);
         return res;
@@ -127,7 +102,11 @@ InterleavedCache::access(const MemRequest &req)
     // local-hit latency without any bus traffic.
     const bool ab_usable = cfg_.attractionBuffers &&
         req.size <= cfg_.interleaveBytes;
-    if (ab_usable && abs_[std::size_t(req.cluster)].lookup(block, home)) {
+    bool ab_hit = false;
+    const int ab_line = ab_usable
+        ? abs_[std::size_t(req.cluster)].lookup(block, home, ab_hit)
+        : TagArray::kNoLine;
+    if (ab_hit) {
         if (req.isStore) {
             // Write-update: refresh the replica and forward the word
             // to the home module in the background.
@@ -190,15 +169,15 @@ InterleavedCache::access(const MemRequest &req)
             wait_req + wait_nl + wait_reply;
         pendingFills_.set(block, res.readyCycle, t);
         pendingSubblocks_.set(sub_key, res.readyCycle, t);
-        const int filled = tags_.insert(block);
+        tags_.fill(line, block);
         if (tags_.lastEvictionWasDirty())
             writebackVictim(res.readyCycle);
         if (req.isStore)
-            tags_.markDirty(filled);
+            tags_.markDirty(line);
     }
 
     if (ab_usable && !req.isStore && req.attractable) {
-        abs_[std::size_t(req.cluster)].install(block, home);
+        abs_[std::size_t(req.cluster)].fill(ab_line, block, home);
         stats_.abInstalls += 1;
     }
 

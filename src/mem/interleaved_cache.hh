@@ -39,10 +39,17 @@ class InterleavedCache : public CacheModel
     AccessClass classify(const MemRequest &req) const;
 
     /** Cluster that owns the word at @p addr. */
-    int homeOf(std::uint64_t addr) const;
+    int homeOf(std::uint64_t addr) const { return cfg_.homeCluster(addr); }
 
     /** True if the whole access fits the issuing cluster's module. */
-    bool isLocal(const MemRequest &req) const;
+    bool
+    isLocal(const MemRequest &req) const
+    {
+        // Elements wider than the interleaving factor always span
+        // several modules and therefore count as remote (Section 5.2).
+        return req.size <= cfg_.interleaveBytes &&
+            homeOf(req.addr) == req.cluster;
+    }
 
     const AttractionBuffer &attractionBuffer(int cluster) const;
 
@@ -58,11 +65,6 @@ class InterleavedCache : public CacheModel
     /** In-flight subblock fetches (pendingFills_ holds the whole-
      *  block next-level fills; both live in flat PendingTables). */
     PendingTable pendingSubblocks_;
-
-    /** log2(interleaveBytes) when a power of two, else -1. */
-    int interleaveShift_ = -1;
-    /** numClusters - 1 when a power of two, else 0. */
-    std::uint64_t clusterMask_ = 0;
 };
 
 } // namespace vliw

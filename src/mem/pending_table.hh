@@ -3,15 +3,15 @@
  * Flat table of in-flight transactions (subblock fetches, block
  * fills) keyed by an opaque 64-bit id, each live until a completion
  * cycle. Semantically a map whose entries become invisible once
- * their cycle passes; physically a small flat vector that recycles
- * expired slots in place, so the steady state allocates nothing --
- * the table never grows past the peak number of genuinely
- * concurrent transactions, which the memory latencies bound to a
- * handful.
+ * their cycle passes; physically a small flat vector that holds only
+ * live entries: every set() drops the entries that have expired by
+ * its cycle, so a find() scans just the handful of genuinely
+ * concurrent transactions the memory latencies allow, and the
+ * steady state allocates nothing.
  *
- * Requests arrive in non-decreasing time order (the lock-step core
- * guarantees it), which is what makes in-place recycling safe: an
- * entry expired at the current access can never be queried again.
+ * Dropping is exact because requests arrive in non-decreasing time
+ * order (the lock-step core guarantees it): an entry expired at the
+ * current access reads as absent to every later find() as well.
  */
 
 #ifndef WIVLIW_MEM_PENDING_TABLE_HH
@@ -44,26 +44,25 @@ class PendingTable
 
     /**
      * Record that @p key is in flight until @p until, overwriting
-     * any previous entry for the key or recycling an expired slot.
+     * any previous entry for the key, and drop every other entry
+     * that has completed by @p now.
      */
     void
     set(std::uint64_t key, Cycles until, Cycles now)
     {
-        Entry *expired = nullptr;
-        for (Entry &e : entries_) {
+        std::size_t kept = 0;
+        bool found = false;
+        for (const Entry &e : entries_) {
             if (e.key == key) {
-                e.until = until;
-                return;
+                found = true;
+                entries_[kept++] = {key, until};
+            } else if (e.until > now) {
+                entries_[kept++] = e;
             }
-            if (!expired && e.until <= now)
-                expired = &e;
         }
-        if (expired) {
-            expired->key = key;
-            expired->until = until;
-            return;
-        }
-        entries_.push_back({key, until});
+        entries_.resize(kept);
+        if (!found)
+            entries_.push_back({key, until});
     }
 
     /** Forget everything; capacity is kept. */

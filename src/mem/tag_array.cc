@@ -1,92 +1,19 @@
 #include "tag_array.hh"
 
-#include "support/logging.hh"
-#include "support/math_util.hh"
+#include <algorithm>
 
 namespace vliw {
 
 TagArray::TagArray(int sets, int ways)
-    : sets_(sets), ways_(ways),
-      setMask_(isPowerOfTwo(std::uint64_t(sets))
-                   ? std::uint64_t(sets) - 1 : 0)
+    : setOf_(sets), ways_(ways)
 {
     vliw_assert(sets > 0 && ways > 0, "degenerate tag array ",
                 sets, "x", ways);
     const std::size_t lines = static_cast<std::size_t>(sets) *
         static_cast<std::size_t>(ways);
-    keys_.assign(lines, 0);
+    keys_.assign(lines, kInvalidKey);
     lastUse_.assign(lines, 0);
-    valid_.assign(lines, 0);
     dirty_.assign(lines, 0);
-}
-
-int
-TagArray::probe(std::uint64_t key) const
-{
-    const int first = setOf(key) * ways_;
-    for (int line = first; line < first + ways_; ++line) {
-        if (valid_[std::size_t(line)] &&
-            keys_[std::size_t(line)] == key)
-            return line;
-    }
-    return kNoLine;
-}
-
-int
-TagArray::touch(std::uint64_t key)
-{
-    const int line = probe(key);
-    if (line != kNoLine)
-        lastUse_[std::size_t(line)] = ++useCounter_;
-    return line;
-}
-
-int
-TagArray::victimOf(std::uint64_t key) const
-{
-    const int first = setOf(key) * ways_;
-    int victim = first;
-    for (int line = first; line < first + ways_; ++line) {
-        if (!valid_[std::size_t(line)])
-            return line;
-        if (lastUse_[std::size_t(line)] < lastUse_[std::size_t(victim)])
-            victim = line;
-    }
-    return victim;
-}
-
-int
-TagArray::insert(std::uint64_t key, std::uint64_t *evicted_key,
-                 bool *did_evict)
-{
-    vliw_assert(probe(key) == kNoLine,
-                "insert of already-present key");
-    const int victim = victimOf(key);
-    const std::size_t v = std::size_t(victim);
-
-    if (did_evict)
-        *did_evict = valid_[v] != 0;
-    if (evicted_key && valid_[v])
-        *evicted_key = keys_[v];
-    evictedDirty_ = valid_[v] && dirty_[v];
-    keys_[v] = key;
-    valid_[v] = 1;
-    dirty_[v] = 0;
-    lastUse_[v] = ++useCounter_;
-    return victim;
-}
-
-void
-TagArray::markDirty(int line)
-{
-    vliw_assert(lineValid(line), "markDirty on invalid line");
-    dirty_[std::size_t(line)] = 1;
-}
-
-bool
-TagArray::isDirty(int line) const
-{
-    return lineValid(line) && dirty_[std::size_t(line)] != 0;
 }
 
 bool
@@ -95,47 +22,22 @@ TagArray::invalidate(std::uint64_t key)
     const int line = probe(key);
     if (line == kNoLine)
         return false;
-    valid_[std::size_t(line)] = 0;
+    keys_[std::size_t(line)] = kInvalidKey;
     return true;
-}
-
-void
-TagArray::invalidateLine(int line)
-{
-    vliw_assert(line >= 0 && std::size_t(line) < valid_.size(),
-                "bad line handle");
-    valid_[std::size_t(line)] = 0;
-}
-
-std::uint64_t
-TagArray::keyOf(int line) const
-{
-    vliw_assert(lineValid(line), "keyOf on invalid line");
-    return keys_[std::size_t(line)];
-}
-
-bool
-TagArray::lineValid(int line) const
-{
-    return line >= 0 && std::size_t(line) < valid_.size() &&
-        valid_[std::size_t(line)] != 0;
 }
 
 void
 TagArray::clear()
 {
-    for (std::uint8_t &v : valid_)
-        v = 0;
+    std::fill(keys_.begin(), keys_.end(), kInvalidKey);
 }
 
 void
 TagArray::reset()
 {
     clear();
-    for (std::uint8_t &d : dirty_)
-        d = 0;
-    for (std::uint64_t &u : lastUse_)
-        u = 0;
+    std::fill(dirty_.begin(), dirty_.end(), std::uint8_t(0));
+    std::fill(lastUse_.begin(), lastUse_.end(), std::uint64_t(0));
     useCounter_ = 0;
     evictedDirty_ = false;
 }
@@ -143,12 +45,10 @@ TagArray::reset()
 int
 TagArray::occupancy() const
 {
-    int n = 0;
-    for (std::uint8_t v : valid_) {
-        if (v)
-            ++n;
-    }
-    return n;
+    return int(std::count_if(keys_.begin(), keys_.end(),
+                             [](std::uint64_t k) {
+                                 return k != kInvalidKey;
+                             }));
 }
 
 } // namespace vliw

@@ -22,8 +22,9 @@ UnifiedCache::access(const MemRequest &req)
     const Cycles wait_port = ports_.acquire(t) - t;
 
     MemAccessResult res;
-    const int line = tags_.touch(block);
-    const bool hit = line != TagArray::kNoLine;
+    // One tag walk: the hit line, or the line a miss fills.
+    bool hit = false;
+    const int line = tags_.lookup(block, hit);
     if (req.isStore && hit)
         tags_.markDirty(line);
 
@@ -42,11 +43,11 @@ UnifiedCache::access(const MemRequest &req)
         res.readyCycle = t + cfg_.latUnified + cfg_.latNextLevel +
             wait_port + wait_nl;
         pendingFills_.set(block, res.readyCycle, t);
-        const int filled = tags_.insert(block);
+        tags_.fill(line, block);
         if (tags_.lastEvictionWasDirty())
             writebackVictim(res.readyCycle);
         if (req.isStore)
-            tags_.markDirty(filled);
+            tags_.markDirty(line);
     }
 
     stats_.record(res.cls, req.isStore);

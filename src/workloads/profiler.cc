@@ -47,11 +47,12 @@ profileLoop(const Ddg &ddg, AddressResolver &resolver,
                 prof.clusterCounts[std::size_t(
                     cfg.homeCluster(addr))] += 1;
 
-                if (tags.touch(block) != TagArray::kNoLine) {
+                bool hit = false;
+                const int line = tags.lookup(block, hit);
+                if (hit)
                     hits[std::size_t(v)] += 1;
-                } else {
-                    tags.insert(block);
-                }
+                else
+                    tags.fill(line, block);
             }
         }
     }

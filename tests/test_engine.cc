@@ -216,10 +216,17 @@ TEST(WorkerPool, PriorityOrdersQueuedWorkFifoWithinPriority)
 {
     WorkerPool pool(1);
     // Park the single worker so the queue builds up, then release
-    // it and observe the drain order.
+    // it and observe the drain order. Submit only once the worker
+    // has entered the gate job: a worker still idle when the first
+    // prioritised job lands would run that job ahead of the rest.
+    std::promise<void> entered;
     std::promise<void> gate;
     std::shared_future<void> open = gate.get_future().share();
-    pool.submit([open] { open.wait(); });
+    pool.submit([&entered, open] {
+        entered.set_value();
+        open.wait();
+    });
+    entered.get_future().wait();
 
     std::vector<int> order;
     pool.submit([&order] { order.push_back(1); }, /*priority=*/1);

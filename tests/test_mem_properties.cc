@@ -12,6 +12,7 @@
 #include "mem/interleaved_cache.hh"
 #include "mem/mem_system.hh"
 #include "support/random.hh"
+#include "util_mem_traffic.hh"
 
 namespace vliw {
 namespace {
@@ -22,20 +23,7 @@ struct TrafficParam
     int seed;
 };
 
-MemRequest
-randomRequest(Rng &rng, Cycles t)
-{
-    static const int sizes[] = {1, 2, 4, 8};
-    MemRequest r;
-    r.cluster = int(rng.nextBelow(4));
-    r.size = sizes[rng.nextBelow(4)];
-    // Block-aligned element addresses over a 16 KB footprint.
-    const std::uint64_t elems = 16 * 1024 / std::uint64_t(r.size);
-    r.addr = rng.nextBelow(elems) * std::uint64_t(r.size);
-    r.isStore = rng.chance(0.35);
-    r.issueCycle = t;
-    return r;
-}
+using testutil::randomRequest;
 
 MachineConfig
 configFor(CacheOrg org)
